@@ -18,7 +18,7 @@
 //! The thresholds are regression fences recorded from the pinned
 //! fixture, not claims about the exact numbers.
 
-use lppa::backend::{BackendBidTable, BackendKind};
+use lppa::backend::BackendKind;
 use lppa::protocol::{AuctioneerModel, SuSubmission};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::Ttp;
@@ -79,9 +79,9 @@ fn attack_report(kind: BackendKind) -> AggregateReport {
     let (map, bidders, table) = fixture();
     let victims = victims(&bidders, &table);
     let (_ttp, subs) = submissions(&bidders, &table);
-    let backend_table = BackendBidTable::collect(
-        kind,
+    let backend_table = MaskedBidTable::collect_with(
         subs.iter().map(|s| s.bids.clone()).collect(),
+        kind,
         AuctioneerModel::Oblivious,
     )
     .unwrap();
@@ -100,9 +100,9 @@ fn exact_backends_leak_exactly_what_the_masked_table_leaks() {
     let (_ttp, subs) = submissions(&bidders, &table);
     let masked = MaskedBidTable::collect(subs.iter().map(|s| s.bids.clone()).collect()).unwrap();
     for kind in [BackendKind::Hmac, BackendKind::Ledger] {
-        let backend_table = BackendBidTable::collect(
-            kind,
+        let backend_table = MaskedBidTable::collect_with(
             subs.iter().map(|s| s.bids.clone()).collect(),
+            kind,
             AuctioneerModel::Oblivious,
         )
         .unwrap();

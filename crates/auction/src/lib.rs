@@ -9,9 +9,6 @@
 //! * [`allocation`] — the greedy channel-assignment engine
 //!   (Algorithm 3), generic over a [`allocation::BidOracle`] so the LPPA
 //!   crate can drive the same algorithm with masked comparisons;
-//! * [`incremental`] — delta-maintained auction state for churn
-//!   (joins/leaves/revisions between rounds), bitwise-equal to a
-//!   from-scratch rebuild;
 //! * [`outcome`] — first-price charging, revenue and user satisfaction;
 //! * [`runner`] — a one-call end-to-end baseline auction.
 //!
@@ -40,7 +37,6 @@
 pub mod allocation;
 pub mod bidder;
 pub mod conflict;
-pub mod incremental;
 pub mod outcome;
 pub mod pricing;
 pub mod runner;
@@ -48,7 +44,6 @@ pub mod runner;
 pub use allocation::{greedy_allocate, BidOracle, Grant};
 pub use bidder::{generate_bidders, BidModel, BidTable, Bidder, BidderId, Location};
 pub use conflict::ConflictGraph;
-pub use incremental::{ChannelTracker, IncrementalAuction};
 pub use outcome::{Assignment, AuctionOutcome};
 pub use pricing::{charge_traced, greedy_allocate_traced, GrantTrace, PricingRule};
 pub use runner::{run_plain_auction, AuctionConfig, PlainAuction};

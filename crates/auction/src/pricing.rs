@@ -11,13 +11,14 @@
 //! masked table hides by design; the paper's open problem is exactly
 //! that tension, and the comparison here quantifies the revenue gap.
 
+use std::cell::RefCell;
+
 use lppa_rng::Rng;
 
-use crate::allocation::{BidOracle, Grant};
+use crate::allocation::{greedy_allocate, BidOracle, Grant};
 use crate::bidder::{BidTable, BidderId};
 use crate::conflict::ConflictGraph;
 use crate::outcome::{Assignment, AuctionOutcome};
-use lppa_rng::seq::SliceRandom;
 use lppa_spectrum::ChannelId;
 
 /// A grant plus the contest it was won in.
@@ -46,9 +47,12 @@ impl GrantTrace {
     }
 }
 
-/// Runs the same greedy allocation as
-/// [`crate::allocation::greedy_allocate`] but records each contest's
-/// candidate set, enabling post-hoc critical-value pricing.
+/// Runs [`crate::allocation::greedy_allocate`] and records each
+/// contest's candidate set, enabling post-hoc critical-value pricing.
+///
+/// A recording wrapper around `oracle` sees every `select_winner` call
+/// the greedy loop makes — exactly one per grant, in grant order — so
+/// the grants and the RNG draws are those of the untraced allocation.
 ///
 /// # Panics
 ///
@@ -59,48 +63,43 @@ pub fn greedy_allocate_traced<O: BidOracle, R: Rng>(
     conflicts: &ConflictGraph,
     rng: &mut R,
 ) -> Vec<GrantTrace> {
-    let n = oracle.n_bidders();
-    let k = oracle.n_channels();
-    assert_eq!(conflicts.len(), n, "conflict graph size mismatch");
+    let recorder = Recorder { inner: oracle, traces: RefCell::default() };
+    greedy_allocate(&recorder, conflicts, rng);
+    recorder.traces.into_inner()
+}
 
-    let mut entry = vec![vec![false; k]; n];
-    let mut remaining = 0usize;
-    for (i, row) in entry.iter_mut().enumerate() {
-        for (j, cell) in row.iter_mut().enumerate() {
-            *cell = oracle.has_entry(BidderId(i), ChannelId(j));
-            remaining += usize::from(*cell);
-        }
+/// A [`BidOracle`] that delegates to `inner` and logs every contest.
+struct Recorder<'a, O> {
+    inner: &'a O,
+    traces: RefCell<Vec<GrantTrace>>,
+}
+
+impl<O: BidOracle> BidOracle for Recorder<'_, O> {
+    fn n_bidders(&self) -> usize {
+        self.inner.n_bidders()
     }
 
-    let mut row_alive = vec![true; n];
-    let mut traces = Vec::new();
-    let mut pool: Vec<usize> = Vec::new();
-
-    while remaining > 0 {
-        if pool.is_empty() {
-            pool = (0..k).collect();
-            pool.shuffle(rng);
-        }
-        // As in `greedy_allocate`: `remaining > 0` implies `k > 0`, so
-        // the refilled pool is never empty; break defensively anyway.
-        let Some(channel) = pool.pop().map(ChannelId) else { break };
-        let candidates: Vec<BidderId> =
-            (0..n).filter(|&i| row_alive[i] && entry[i][channel.0]).map(BidderId).collect();
-        if candidates.is_empty() {
-            continue;
-        }
-        let winner = oracle.select_winner(channel, &candidates, rng);
-        row_alive[winner.0] = false;
-        remaining -= entry[winner.0].iter().filter(|&&e| e).count();
-        for nb in conflicts.neighbors(winner) {
-            if row_alive[nb.0] && entry[nb.0][channel.0] {
-                entry[nb.0][channel.0] = false;
-                remaining -= 1;
-            }
-        }
-        traces.push(GrantTrace { grant: Grant { bidder: winner, channel }, candidates });
+    fn n_channels(&self) -> usize {
+        self.inner.n_channels()
     }
-    traces
+
+    fn has_entry(&self, bidder: BidderId, channel: ChannelId) -> bool {
+        self.inner.has_entry(bidder, channel)
+    }
+
+    fn select_winner(
+        &self,
+        channel: ChannelId,
+        candidates: &[BidderId],
+        rng: &mut dyn lppa_rng::RngCore,
+    ) -> BidderId {
+        let winner = self.inner.select_winner(channel, candidates, rng);
+        self.traces.borrow_mut().push(GrantTrace {
+            grant: Grant { bidder: winner, channel },
+            candidates: candidates.to_vec(),
+        });
+        winner
+    }
 }
 
 /// Charging rules applicable to a traced plaintext allocation.

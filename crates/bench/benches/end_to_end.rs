@@ -2,7 +2,7 @@
 //! conflict graph, masked allocation, TTP charging) vs the plaintext
 //! baseline on the same bids, plus the attack pipelines of Fig. 4.
 
-use lppa::protocol::{build_submissions, run_private_auction_from_bids};
+use lppa::protocol::{build_submissions, run_private_auction_with_model, AuctioneerModel};
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::LppaConfig;
@@ -30,7 +30,14 @@ fn bench_private_auction(b: &mut Bench) {
         b.bench(&format!("end_to_end/private_auction/n{n}_k{k}"), || {
             let mut rng = StdRng::seed_from_u64(11);
             let ttp = Ttp::new(k, config, &mut rng).unwrap();
-            run_private_auction_from_bids(&raw, &ttp, &policy, &mut rng).unwrap();
+            let submissions = build_submissions(&raw, &ttp, &policy, &mut rng).unwrap();
+            run_private_auction_with_model(
+                &submissions,
+                &ttp,
+                AuctioneerModel::default(),
+                &mut rng,
+            )
+            .unwrap();
         });
         b.bench(&format!("end_to_end/private_auction/plaintext_n{n}_k{k}"), || {
             let mut rng = StdRng::seed_from_u64(11);

@@ -13,7 +13,9 @@
 //! attribution-BCM failure rate (privacy) and the revenue/satisfaction
 //! ratios (performance).
 
-use lppa::protocol::{run_private_auction_from_bids_with_model, AuctioneerModel, SuSubmission};
+use lppa::protocol::{
+    build_submissions, run_private_auction_with_model, AuctioneerModel, SuSubmission,
+};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
@@ -98,10 +100,10 @@ fn main() {
             cells += attack.mean_possible_cells();
 
             // Performance side.
-            let result = run_private_auction_from_bids_with_model(
-                &raw,
+            let performance = build_submissions(&raw, &ttp, &policy, &mut rng).unwrap();
+            let result = run_private_auction_with_model(
+                &performance,
                 &ttp,
-                &policy,
                 AuctioneerModel::IterativeCharging,
                 &mut rng,
             )

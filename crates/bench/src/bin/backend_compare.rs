@@ -4,8 +4,9 @@
 //!
 //! Reported per backend:
 //!
-//! * `collect:<kind>` — building the backend bid table (compiling
-//!   points/ranges and probing all pairwise comparisons into classes);
+//! * `collect:<kind>` — building the bid table under that backend's
+//!   ranking (exact insertion ranking for `hmac`/`ledger`, the
+//!   all-pairs dominance count for `bloom`);
 //! * `round:<kind>` — one complete private auction (conflict graph,
 //!   traced allocation, first-price charging, Vickrey resettlement,
 //!   and — for `ledger` — the settle-time audit replay);
@@ -22,9 +23,10 @@
 use std::process::ExitCode;
 
 use lppa::backend::{
-    bloom_probe_stats, run_private_auction_with_backend, BackendBidTable, BackendKind, BloomParams,
+    bloom_probe_stats, run_private_auction_with_backend, BackendKind, BloomParams,
 };
 use lppa::protocol::{build_submissions, AuctioneerModel, SuSubmission};
+use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::{LppaConfig, LppaError};
@@ -113,12 +115,16 @@ fn run(args: &Args) -> Result<Vec<String>, String> {
     let iters = if args.quick { 3u32 } else { 10 };
     let bids: Vec<_> = submissions.iter().map(|s| s.bids.clone()).collect();
     for kind in BackendKind::ALL {
-        // Phase 1: table collection (probe-driven class computation).
+        // Phase 1: table collection (class computation).
         let start = std::time::Instant::now();
         for _ in 0..iters {
             std::hint::black_box(
-                BackendBidTable::collect(kind, bids.clone(), AuctioneerModel::IterativeCharging)
-                    .map_err(|e| e.to_string())?,
+                MaskedBidTable::collect_with(
+                    bids.clone(),
+                    kind,
+                    AuctioneerModel::IterativeCharging,
+                )
+                .map_err(|e| e.to_string())?,
             );
         }
         let collect_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);

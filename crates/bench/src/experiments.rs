@@ -1,6 +1,6 @@
 //! Shared experiment logic for the figure-regeneration binaries.
 
-use lppa::protocol::{run_private_auction_from_bids_with_model, AuctioneerModel};
+use lppa::protocol::{build_submissions, run_private_auction_with_model, AuctioneerModel};
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::LppaConfig;
@@ -268,10 +268,11 @@ pub fn lppa_performance_sweep(
                     );
                     let ttp = Ttp::new(k, fixture.config, &mut rng).expect("valid config");
                     let policy = experiment_policy(replace_prob, fixture.config.bid_max());
-                    let result = run_private_auction_from_bids_with_model(
-                        &raw, &ttp, &policy, model, &mut rng,
-                    )
-                    .expect("private auction runs");
+                    let submissions = build_submissions(&raw, &ttp, &policy, &mut rng)
+                        .expect("submissions build");
+                    let result =
+                        run_private_auction_with_model(&submissions, &ttp, model, &mut rng)
+                            .expect("private auction runs");
                     revenue += result.outcome.revenue() as f64;
                     satisfaction += result.outcome.satisfaction();
                     invalid += result.invalid_grants.len();
@@ -370,10 +371,10 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(10);
                 let ttp = Ttp::new(6, fixture.config, &mut rng).unwrap();
                 let policy = experiment_policy(replace, fixture.config.bid_max());
-                let result = run_private_auction_from_bids_with_model(
-                    &raw,
+                let submissions = build_submissions(&raw, &ttp, &policy, &mut rng).unwrap();
+                let result = run_private_auction_with_model(
+                    &submissions,
                     &ttp,
-                    &policy,
                     AuctioneerModel::IterativeCharging,
                     &mut rng,
                 )

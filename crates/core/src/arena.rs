@@ -23,31 +23,16 @@
 //! Buffers are *checked out, cleared and reused* — never freed — so a
 //! sustained-churn round runs allocation-free after warm-up. Pooling
 //! only changes where memory comes from: every consumer is either
-//! capacity-independent or iteration-order independent, so outcomes are
-//! bit-identical with pooling on or off. The `arena_on_off_identical`
-//! oracle invariant and the CI grid diff hold the whole engine to that.
-
-use std::sync::OnceLock;
+//! capacity-independent or iteration-order independent, so a pooled
+//! round settles exactly like a fresh one. The churn service's
+//! incremental-vs-rebuild fingerprint (the rebuild path masks on fresh
+//! allocations) and the `backend_arena_pool_equivalence` oracle
+//! invariant hold the engine to that.
 
 use crate::ttp::ChargeDecision;
 
 pub use lppa_auction::allocation::AllocScratch;
 pub use lppa_prefix::MaskScratch;
-
-/// Environment knob disabling the pooled round path (`LPPA_ARENA=0`).
-/// Default is on; the setting is cached on first read.
-pub const ARENA_ENV: &str = "LPPA_ARENA";
-
-/// Whether pooled scratch memory is enabled for service round loops
-/// (`LPPA_ARENA`, default on). Explicit plumbing — e.g. the oracle's
-/// arena on/off differential — bypasses this and passes the flag
-/// directly.
-pub fn arena_enabled() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        lppa_par::parse_flag(std::env::var(ARENA_ENV).ok().as_deref()).unwrap_or(true)
-    })
-}
 
 /// Per-area round scratch: everything one settlement round needs,
 /// checked out per round and reset instead of freed.
@@ -365,13 +350,5 @@ mod tests {
         let m = scratch.take_matrix();
         assert!(m.capacity() >= 64);
         assert!(scratch.take_matrix().is_empty(), "checkout empties the slot");
-    }
-
-    #[test]
-    fn arena_env_flag_parses() {
-        // parse_flag semantics: unset/garbage ⇒ default on.
-        assert_eq!(lppa_par::parse_flag(None), None);
-        assert_eq!(lppa_par::parse_flag(Some("0")), Some(false));
-        assert_eq!(lppa_par::parse_flag(Some("1")), Some(true));
     }
 }

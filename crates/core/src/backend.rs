@@ -1,33 +1,27 @@
-//! The backend-generic auction pipeline: pluggable masked comparisons,
-//! commitment-ledger auditing, and sealed-bid Vickrey settlement.
+//! Backend-specific round behaviour layered over the one auction core:
+//! sealed-bid Vickrey settlement and the commitment-ledger audit chain.
 //!
-//! [`BackendBidTable`] is the masked bid table probed through a
-//! [`MaskingBackend`] instead of raw tag-set intersection. Its tie
-//! classes are computed with the *identical* stable-sort walk as
-//! [`crate::psd::table::compute_classes`], only with `ge` answered by
-//! the backend — so for the exact backends (`hmac`, `ledger`) the
-//! classes, the RNG draw sequence and therefore the entire auction
-//! outcome are bit-identical to the default pipeline, while the
-//! `bloom` backend may deviate exactly where a filter false positive
-//! flips a comparison.
+//! The masked comparisons of every backend run inside
+//! [`MaskedBidTable`]: the exact backends (`hmac`, `ledger`) rank with
+//! [`crate::psd::table::compute_classes`], `bloom` with the
+//! dominance-count [`crate::psd::table::backend_classes`], which may
+//! deviate exactly where a filter false positive flips a comparison.
 //!
-//! [`run_private_auction_with_backend`] runs allocation + charging
-//! over that table and adds two things the default pipeline lacks:
+//! [`run_private_auction_with_backend`] runs the core's allocation and
+//! charge halves over that table and adds two things:
 //!
 //! * a **Vickrey settlement** of every grant — the traced contest's
 //!   conflicting losers' sealed true values go to the TTP, which
 //!   prices the win at the critical losing bid
 //!   ([`crate::ttp::Ttp::open_vickrey`]);
 //! * for [`BackendKind::Ledger`], an **audit chain**: every accepted
-//!   submission, grant and charge verdict is appended to a
-//!   [`CommitmentLedger`] which is replay-verified at settle time;
+//!   submission, grant and charge verdict is appended through the
+//!   shared [`RoundLedger`] writer and replay-verified at settle time;
 //!   tampering surfaces as [`LppaError::LedgerTampered`].
 
 use std::collections::HashSet;
 
-use lppa_auction::allocation::{BidOracle, Grant};
-use lppa_auction::bidder::BidderId;
-use lppa_auction::conflict::ConflictGraph;
+use lppa_auction::allocation::Grant;
 use lppa_auction::outcome::{Assignment, AuctionOutcome};
 use lppa_auction::pricing::{greedy_allocate_traced, GrantTrace};
 use lppa_crypto::commit::{CommitmentLedger, LedgerEntry};
@@ -35,188 +29,18 @@ use lppa_crypto::tag::Tag;
 pub use lppa_prefix::backend::{
     Backend, BackendKind, BackendPoint, BackendRange, BloomParams, MaskingBackend,
 };
-use lppa_rng::seq::SliceRandom;
 use lppa_rng::Rng;
-use lppa_spectrum::ChannelId;
 
+use crate::arena::RoundScratch;
 use crate::error::LppaError;
 use crate::ppbs::bid::AdvancedBidSubmission;
-use crate::ppbs::location::{build_conflict_graph, LocationSubmission};
-use crate::protocol::{AuctioneerModel, PrivateAuctionResult, SuSubmission};
-use crate::ttp::{ChargeDecision, ChargeRequest, Ttp};
-
-/// A masked bid table whose comparisons run through a pluggable
-/// [`MaskingBackend`].
-#[derive(Clone, Debug)]
-pub struct BackendBidTable {
-    submissions: Vec<AdvancedBidSubmission>,
-    n_channels: usize,
-    prune_plain_zeros: bool,
-    classes: Vec<Vec<u32>>,
-    kind: BackendKind,
-}
-
-impl BackendBidTable {
-    /// Collects `submissions` under the backend named by `kind` (with
-    /// its default parameters), pruning plain zeros per `model` exactly
-    /// like [`crate::psd::table::MaskedBidTable`].
-    ///
-    /// # Errors
-    ///
-    /// [`LppaError::InvalidConfig`] for an empty batch,
-    /// [`LppaError::ChannelCountMismatch`] for ragged channel counts.
-    pub fn collect(
-        kind: BackendKind,
-        submissions: Vec<AdvancedBidSubmission>,
-        model: AuctioneerModel,
-    ) -> Result<Self, LppaError> {
-        let backend = kind.backend();
-        let n_channels = submissions
-            .first()
-            .ok_or_else(|| LppaError::InvalidConfig { reason: "no submissions".into() })?
-            .n_channels();
-        for s in &submissions {
-            if s.n_channels() != n_channels {
-                return Err(LppaError::ChannelCountMismatch {
-                    submitted: s.n_channels(),
-                    expected: n_channels,
-                });
-            }
-        }
-        let classes = backend_classes(&backend, &submissions, n_channels);
-        Ok(Self {
-            submissions,
-            n_channels,
-            prune_plain_zeros: matches!(model, AuctioneerModel::IterativeCharging),
-            classes,
-            kind,
-        })
-    }
-
-    /// Which backend answered the comparisons.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    /// The collected submissions, in bidder order.
-    pub fn submissions(&self) -> &[AdvancedBidSubmission] {
-        &self.submissions
-    }
-
-    /// Per-channel tie classes (see
-    /// [`crate::psd::table::MaskedBidTable::classes`]); class 0 is the
-    /// channel maximum under backend comparisons.
-    pub fn classes(&self) -> &[Vec<u32>] {
-        &self.classes
-    }
-
-    /// Bidders of `channel` in descending backend-bid order, ties in
-    /// ascending id order — the same ranking shape
-    /// `lppa_attack::ChannelRankings` consumes, so per-backend leakage
-    /// is measured on exactly what this backend would let an
-    /// auctioneer observe.
-    pub fn rank_channel(&self, channel: ChannelId) -> Vec<BidderId> {
-        let classes = &self.classes[channel.0];
-        let mut order: Vec<usize> = (0..self.submissions.len()).collect();
-        order.sort_by_key(|&i| (classes[i], i));
-        order.into_iter().map(BidderId).collect()
-    }
-
-    /// [`Self::rank_channel`] for every channel.
-    pub fn channel_rankings(&self) -> Vec<Vec<BidderId>> {
-        (0..self.n_channels).map(|c| self.rank_channel(ChannelId(c))).collect()
-    }
-}
-
-impl BidOracle for BackendBidTable {
-    fn n_bidders(&self) -> usize {
-        self.submissions.len()
-    }
-
-    fn n_channels(&self) -> usize {
-        self.n_channels
-    }
-
-    fn has_entry(&self, bidder: BidderId, channel: ChannelId) -> bool {
-        if self.prune_plain_zeros {
-            self.submissions[bidder.0].presented_positive()[channel.0]
-        } else {
-            true
-        }
-    }
-
-    fn select_winner(
-        &self,
-        channel: ChannelId,
-        candidates: &[BidderId],
-        rng: &mut dyn lppa_rng::RngCore,
-    ) -> BidderId {
-        // Identical integer logic to MaskedBidTable::select_winner: the
-        // same classes mean the same maxima set and the same single RNG
-        // draw, which is what makes the hmac backend bit-identical to
-        // the default pipeline.
-        let classes = &self.classes[channel.0];
-        let Some(best) = candidates.iter().map(|c| classes[c.0]).min() else {
-            return candidates.first().copied().unwrap_or(BidderId(0));
-        };
-        let maxima: Vec<BidderId> =
-            candidates.iter().copied().filter(|c| classes[c.0] == best).collect();
-        match maxima.choose(rng) {
-            Some(&winner) => winner,
-            None => candidates[0],
-        }
-    }
-}
-
-/// Computes per-channel tie classes through `backend` probes
-/// (channels in parallel), then the adjacent-pair class walk of
-/// [`crate::psd::table::compute_classes`].
-///
-/// Unlike `compute_classes`, the descending order is not a pairwise
-/// comparison sort: a lossy backend's `ge` can be intransitive (a Bloom
-/// false positive asserts `a ≥ b` spuriously), which a comparison sort
-/// rejects as an inconsistent comparator. Each bidder is instead ranked
-/// by its **dominance count** `#{b : ge(a, b)}`, stably, ties in index
-/// order. For an exact backend the count is strictly monotone in the
-/// bid (`v_a > v_b` implies `a`'s dominated set properly contains
-/// `b`'s), so the resulting order — and therefore the classes — is
-/// bit-identical to `compute_classes`; for a lossy backend it is a
-/// deterministic total order that degrades gracefully with the
-/// false-positive rate.
-pub fn backend_classes(
-    backend: &Backend,
-    submissions: &[AdvancedBidSubmission],
-    n_channels: usize,
-) -> Vec<Vec<u32>> {
-    let channels: Vec<usize> = (0..n_channels).collect();
-    lppa_par::par_map(&channels, |&ch| {
-        let n = submissions.len();
-        let points: Vec<BackendPoint> =
-            submissions.iter().map(|s| backend.compile_point(&s.bids()[ch].point)).collect();
-        let ranges: Vec<BackendRange> =
-            submissions.iter().map(|s| backend.compile_range(&s.bids()[ch].range)).collect();
-        let mut ge = vec![false; n * n];
-        let mut dominated = vec![0usize; n];
-        for a in 0..n {
-            for b in 0..n {
-                let hit = backend.probe(&points[a], &ranges[b]);
-                ge[a * n + b] = hit;
-                dominated[a] += usize::from(hit);
-            }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&a| std::cmp::Reverse(dominated[a]));
-        let mut classes = vec![0u32; n];
-        let mut class = 0u32;
-        for (i, &id) in order.iter().enumerate() {
-            if i > 0 && !ge[id * n + order[i - 1]] {
-                class += 1;
-            }
-            classes[id] = class;
-        }
-        classes
-    })
-}
+use crate::protocol::{
+    charge_grants_in, charge_requests, conflict_graph, AuctioneerModel, PrivateAuctionResult,
+    SuSubmission,
+};
+use crate::psd::table::MaskedBidTable;
+use crate::ttp::ChargeDecision;
+use crate::ttp::Ttp;
 
 /// How often the Bloom backend's probes disagreed with the exact tag
 /// intersection over a full bid table — both raw probe flips (for
@@ -323,33 +147,15 @@ pub struct BackendAuctionResult {
     pub ledger: Option<CommitmentLedger>,
 }
 
-/// Builds the TTP charge request for one grant straight from the
-/// submissions (the backend table needs no [`crate::MaskedBidTable`]).
-///
-/// # Errors
-///
-/// [`LppaError::Internal`] if the grant indexes outside the bid table.
-pub fn charge_request_for(
-    submissions: &[AdvancedBidSubmission],
-    grant: &Grant,
-) -> Result<ChargeRequest, LppaError> {
-    let bid = submissions
-        .get(grant.bidder.0)
-        .and_then(|s| s.bids().get(grant.channel.0))
-        .ok_or_else(|| LppaError::Internal {
-            what: format!("grant ({}, {}) outside bid table", grant.bidder.0, grant.channel.0),
-        })?;
-    Ok(ChargeRequest {
-        channel: grant.channel,
-        sealed: bid.sealed.clone(),
-        point: bid.point.clone(),
-    })
-}
-
 /// Runs one complete private auction through the backend named by
-/// `kind`: conflict graph from masked locations, backend-probed
+/// `kind`: conflict graph from masked locations, backend-ranked
 /// allocation, first-price TTP charging, and Vickrey resettlement of
-/// the same grants. See [`run_private_auction_with_backend_graph`].
+/// the same grants against the same TTP.
+///
+/// The allocation is the core's greedy loop with each contest recorded
+/// ([`greedy_allocate_traced`]), so the exact backends draw the same RNG
+/// sequence as [`crate::protocol::run_private_auction_with_model`] and
+/// land on bit-identical grants.
 ///
 /// # Errors
 ///
@@ -363,89 +169,34 @@ pub fn run_private_auction_with_backend<R: Rng>(
     kind: BackendKind,
     rng: &mut R,
 ) -> Result<BackendAuctionResult, LppaError> {
-    let locations: Vec<LocationSubmission> =
-        submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    run_private_auction_with_backend_graph(submissions, conflicts, ttp, model, kind, rng)
-}
-
-/// [`run_private_auction_with_backend`] over a prebuilt conflict graph.
-///
-/// The allocation replays [`greedy_allocate_traced`] over the backend
-/// table: for the exact backends this draws the same RNG sequence as
-/// the default pipeline's `greedy_allocate` and lands on bit-identical
-/// grants. Each grant is then settled twice — first price (the
-/// paper's rule) and Vickrey — against the same TTP.
-///
-/// # Errors
-///
-/// As [`run_private_auction_with_backend`].
-pub fn run_private_auction_with_backend_graph<R: Rng>(
-    submissions: &[SuSubmission],
-    conflicts: ConflictGraph,
-    ttp: &Ttp,
-    model: AuctioneerModel,
-    kind: BackendKind,
-    rng: &mut R,
-) -> Result<BackendAuctionResult, LppaError> {
+    let conflicts = conflict_graph(submissions);
     let bids: Vec<AdvancedBidSubmission> = submissions.iter().map(|s| s.bids.clone()).collect();
-    let table = BackendBidTable::collect(kind, bids, model)?;
-
-    let mut ledger = match kind {
-        BackendKind::Ledger => Some(CommitmentLedger::new()),
-        _ => None,
-    };
-    if let Some(ledger) = ledger.as_mut() {
-        for (i, s) in submissions.iter().enumerate() {
-            let mut payload = Vec::with_capacity(12);
-            payload.extend_from_slice(&(i as u32).to_le_bytes());
-            payload.extend_from_slice(&s.checksum().to_le_bytes());
-            ledger.append("submission", &payload);
-        }
-    }
-
+    let table = MaskedBidTable::collect_with(bids, kind, model)?;
     let traces = greedy_allocate_traced(&table, &conflicts, rng);
     let grants: Vec<Grant> = traces.iter().map(|t| t.grant).collect();
-    if let Some(ledger) = ledger.as_mut() {
-        for g in &grants {
-            ledger.append("grant", &grant_payload(g));
-        }
-    }
 
-    // First-price charging, as in the default pipeline.
-    let requests: Vec<ChargeRequest> = grants
-        .iter()
-        .map(|g| charge_request_for(table.submissions(), g))
-        .collect::<Result<_, _>>()?;
-    let decisions = ttp.open_charges(&requests)?;
-    let mut assignments = Vec::new();
-    let mut invalid_grants = Vec::new();
-    for (grant, decision) in grants.iter().zip(&decisions) {
-        match decision {
-            ChargeDecision::Valid { raw_price } => assignments.push(Assignment {
-                bidder: grant.bidder,
-                channel: grant.channel,
-                price: *raw_price,
-            }),
-            ChargeDecision::InvalidZero => invalid_grants.push(*grant),
-        }
-    }
+    let mut ledger = RoundLedger::for_backend(kind);
     if let Some(ledger) = ledger.as_mut() {
-        for (grant, decision) in grants.iter().zip(&decisions) {
-            ledger.append("charge", &decision_payload(grant, decision));
+        for (i, s) in submissions.iter().enumerate() {
+            ledger.submission(i, s.checksum());
+        }
+        for grant in &grants {
+            ledger.grant(grant);
         }
     }
+    let (outcome, invalid_grants) =
+        charge_grants_in(&table, &grants, ttp, &mut RoundScratch::new(), None, ledger.as_mut())?;
 
     // Vickrey resettlement of the same grants: forward each contest's
     // conflicting losers' sealed true values alongside the winner.
     let mut vickrey_assignments = Vec::new();
     let mut vickrey_invalid = Vec::new();
-    for (trace, request) in traces.iter().zip(&requests) {
+    for (trace, request) in traces.iter().zip(charge_requests(&table, &grants)?) {
         let losers: Vec<_> = trace
             .conflicting_losers(&conflicts)
             .map(|c| table.submissions()[c.0].bids()[trace.grant.channel.0].sealed.clone())
             .collect();
-        let decision = ttp.open_vickrey(request, &losers)?;
+        let decision = ttp.open_vickrey(&request, &losers)?;
         match decision {
             ChargeDecision::Valid { raw_price } => vickrey_assignments.push(Assignment {
                 bidder: trace.grant.bidder,
@@ -455,29 +206,79 @@ pub fn run_private_auction_with_backend_graph<R: Rng>(
             ChargeDecision::InvalidZero => vickrey_invalid.push(trace.grant),
         }
         if let Some(ledger) = ledger.as_mut() {
-            ledger.append("vickrey", &decision_payload(&trace.grant, &decision));
+            ledger.vickrey(&trace.grant, &decision);
         }
     }
 
     // Settle: the ledger backend replays its chain before committing.
-    if let Some(ledger) = ledger.as_ref() {
-        ledger.verify().map_err(|e| LppaError::LedgerTampered { detail: e.to_string() })?;
-    }
-
-    let n = submissions.len();
+    let ledger = ledger.map(RoundLedger::settle).transpose()?;
     Ok(BackendAuctionResult {
         kind,
-        result: PrivateAuctionResult {
-            outcome: AuctionOutcome::from_assignments(assignments, n),
-            invalid_grants,
-            conflicts,
-            grants,
-        },
-        vickrey: AuctionOutcome::from_assignments(vickrey_assignments, n),
+        result: PrivateAuctionResult { outcome, invalid_grants, conflicts, grants },
+        vickrey: AuctionOutcome::from_assignments(vickrey_assignments, submissions.len()),
         vickrey_invalid,
         traces,
         ledger,
     })
+}
+
+/// The commitment-ledger audit chain, written the same way by every
+/// round driver: the backend pipeline above and the session's
+/// `finish_round`. Payloads are fixed little-endian records over the
+/// bidder ids the caller reports (original submission indices).
+#[derive(Debug, Default)]
+pub struct RoundLedger(CommitmentLedger);
+
+impl RoundLedger {
+    /// An empty chain for [`BackendKind::Ledger`] rounds; `None` for the
+    /// backends that keep no audit chain.
+    pub fn for_backend(kind: BackendKind) -> Option<Self> {
+        (kind == BackendKind::Ledger).then(Self::default)
+    }
+
+    /// An accepted submission: bidder `u32` ‖ wire checksum `u64`.
+    pub fn submission(&mut self, bidder: usize, checksum: u64) {
+        let mut payload = [0u8; 12];
+        payload[..4].copy_from_slice(&(bidder as u32).to_le_bytes());
+        payload[4..].copy_from_slice(&checksum.to_le_bytes());
+        self.0.append("submission", &payload);
+    }
+
+    /// An allocation decision: bidder `u32` ‖ channel `u32`.
+    pub fn grant(&mut self, grant: &Grant) {
+        self.0.append("grant", &grant_payload(grant));
+    }
+
+    /// A first-price verdict; `None` is a charge deferred past the
+    /// charge deadline.
+    pub fn charge(&mut self, grant: &Grant, verdict: Option<&Result<ChargeDecision, LppaError>>) {
+        let (tag, price) = match verdict {
+            Some(Ok(ChargeDecision::Valid { raw_price })) => (1, *raw_price),
+            Some(Ok(ChargeDecision::InvalidZero)) => (0, 0),
+            Some(Err(_)) => (2, 0),
+            None => (3, 0),
+        };
+        self.0.append("charge", &decision_payload(grant, tag, price));
+    }
+
+    /// A Vickrey resettlement verdict, in the `charge` record layout.
+    pub fn vickrey(&mut self, grant: &Grant, decision: &ChargeDecision) {
+        let (tag, price) = match decision {
+            ChargeDecision::Valid { raw_price } => (1, *raw_price),
+            ChargeDecision::InvalidZero => (0, 0),
+        };
+        self.0.append("vickrey", &decision_payload(grant, tag, price));
+    }
+
+    /// Replays the chain (the settle-time audit) and releases it.
+    ///
+    /// # Errors
+    ///
+    /// [`LppaError::LedgerTampered`] naming the first broken link.
+    pub fn settle(self) -> Result<CommitmentLedger, LppaError> {
+        self.0.verify().map_err(|e| LppaError::LedgerTampered { detail: e.to_string() })?;
+        Ok(self.0)
+    }
 }
 
 fn grant_payload(grant: &Grant) -> [u8; 8] {
@@ -487,16 +288,12 @@ fn grant_payload(grant: &Grant) -> [u8; 8] {
     payload
 }
 
-fn decision_payload(grant: &Grant, decision: &ChargeDecision) -> [u8; 13] {
+/// Bidder `u32` ‖ channel `u32` ‖ verdict tag `u8` ‖ price `u32`.
+fn decision_payload(grant: &Grant, tag: u8, price: u32) -> [u8; 13] {
     let mut payload = [0u8; 13];
     payload[..8].copy_from_slice(&grant_payload(grant));
-    match decision {
-        ChargeDecision::Valid { raw_price } => {
-            payload[8] = 1;
-            payload[9..].copy_from_slice(&raw_price.to_le_bytes());
-        }
-        ChargeDecision::InvalidZero => payload[8] = 0,
-    }
+    payload[8] = tag;
+    payload[9..].copy_from_slice(&price.to_le_bytes());
     payload
 }
 
@@ -528,7 +325,7 @@ mod tests {
     use super::*;
     use crate::config::LppaConfig;
     use crate::protocol::{build_submissions, run_private_auction_with_model};
-    use crate::psd::table::compute_classes;
+    use crate::psd::table::{backend_classes, compute_classes};
     use crate::zero_replace::ZeroReplacePolicy;
 
     fn fixture(seed: u64, disguise: f64) -> (Ttp, Vec<SuSubmission>, Vec<Vec<u32>>) {
@@ -715,23 +512,5 @@ mod tests {
         let bids: Vec<AdvancedBidSubmission> = submissions.iter().map(|s| s.bids.clone()).collect();
         let generous = Backend::Bloom(BloomParams { bits_per_tag: 64, hashes: 8 });
         assert_eq!(backend_classes(&generous, &bids, 4), compute_classes(&bids));
-    }
-
-    #[test]
-    fn backend_rankings_match_masked_table_rankings_for_exact_backends() {
-        let (_, submissions, _) = fixture(21, 0.5);
-        let bids: Vec<AdvancedBidSubmission> = submissions.iter().map(|s| s.bids.clone()).collect();
-        let masked = crate::psd::table::MaskedBidTable::collect(bids.clone()).unwrap();
-        let table = BackendBidTable::collect(BackendKind::Ledger, bids, AuctioneerModel::Oblivious)
-            .unwrap();
-        assert_eq!(table.channel_rankings(), masked.channel_rankings());
-    }
-
-    #[test]
-    fn collect_rejects_empty_and_ragged_batches() {
-        assert!(matches!(
-            BackendBidTable::collect(BackendKind::Hmac, vec![], AuctioneerModel::default()),
-            Err(LppaError::InvalidConfig { .. })
-        ));
     }
 }

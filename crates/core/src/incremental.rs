@@ -29,12 +29,15 @@
 //! [`LocationSubmission::conflicts_with`] test in canonical order.
 //! Spurious one-directional padding hits are filtered by that re-check;
 //! genuine conflicts hit in both directions. The per-round runner
-//! ([`IncrementalAuctioneer::run_round`]) then feeds the resident graph
-//! into the shared phase-2–4 pipeline
-//! ([`crate::protocol::run_private_auction_with_graph`]), so for equal
-//! live sets and equal RNG state the whole round result is bit-identical
-//! to a from-scratch rebuild — the property tests and the
-//! `incremental_equals_rebuild` oracle invariant hold it to that.
+//! ([`IncrementalAuctioneer::run_round_in`]) then feeds the resident
+//! graph and tie classes into the auction core's allocate and charge
+//! halves, so for equal live sets and equal RNG state the whole round
+//! result is bit-identical to a from-scratch rebuild — the property
+//! tests and the `incremental_equals_rebuild` oracle invariant hold it
+//! to that.
+//!
+//! [`build_conflict_graph`]: crate::ppbs::location::build_conflict_graph
+//! [`LocationSubmission::conflicts_with`]: crate::ppbs::location::LocationSubmission::conflicts_with
 
 use std::collections::BTreeSet;
 
@@ -46,7 +49,6 @@ use lppa_rng::Rng;
 use crate::arena::{CsrRows, RoundScratch};
 use crate::error::LppaError;
 use crate::ppbs::bid::AdvancedBidSubmission;
-use crate::ppbs::location::{build_conflict_graph, LocationSubmission};
 use crate::protocol::{settle_allocation_in, AuctioneerModel, PrivateAuctionResult};
 use crate::psd::table::MaskedBidTable;
 use crate::ttp::Ttp;
@@ -172,50 +174,6 @@ impl IncrementalAuctioneer {
         old
     }
 
-    /// Bid-only revision fast path: when the new submission carries the
-    /// *same masked location* (same raw location re-masked from the same
-    /// seed — builds draw location randomness before bid randomness, so
-    /// those bytes are bit-identical), the conflict edges and x-axis
-    /// index entries cannot change. Only the bidder's rank in each
-    /// channel order moves: `O(k · (log n + n))` integer-and-compare
-    /// work, no tag index churn, no conflict re-probing.
-    ///
-    /// Falls back to the full [`revise`](IncrementalAuctioneer::revise)
-    /// when the location checksum differs.
-    ///
-    /// Like [`revise`](IncrementalAuctioneer::revise), returns the
-    /// retired submission for tag-set recycling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is not live.
-    pub fn revise_bids(
-        &mut self,
-        slot: u32,
-        submission: crate::protocol::SuSubmission,
-    ) -> crate::protocol::SuSubmission {
-        {
-            let old = self.slots[slot as usize].as_ref().expect("revise_bids of a non-live slot");
-            if old.location.checksum() != submission.location.checksum() {
-                return self.revise(slot, submission);
-            }
-        }
-        for ch in 0..self.orders.len() {
-            self.order_remove(ch, slot);
-        }
-        let k = submission.bids.n_channels();
-        if self.orders.len() < k {
-            self.orders.resize_with(k, Vec::new);
-            self.breaks.resize_with(k, Vec::new);
-        }
-        let old =
-            self.slots[slot as usize].replace(submission).expect("revise_bids of a non-live slot");
-        for ch in 0..k {
-            self.order_insert(ch, slot);
-        }
-        old
-    }
-
     /// First half of a two-phase bid-only revision: takes the resident
     /// submission out of `slot` (dropping it from every channel order)
     /// so the caller can salvage its parts — typically reusing the
@@ -225,10 +183,12 @@ impl IncrementalAuctioneer {
     ///
     /// The slot stays live but empty in between; no other engine call
     /// may run until `put_revised` restores it. The replacement **must**
-    /// carry a masked location identical to the taken one (the fast-path
-    /// precondition [`revise_bids`](IncrementalAuctioneer::revise_bids)
-    /// checks by checksum; here the caller guarantees it, normally by
-    /// moving the same [`LocationSubmission`] value back in).
+    /// carry a masked location identical to the taken one — the caller
+    /// guarantees it, normally by moving the same [`LocationSubmission`]
+    /// value back in — because the conflict edges and x-axis index
+    /// entries stay untouched: a bid-only revision costs
+    /// `O(k · (log n + n))` integer-and-compare work, no tag index churn
+    /// and no conflict re-probing.
     ///
     /// [`SuSubmission::rebuild_bids_in`]: crate::protocol::SuSubmission::rebuild_bids_in
     /// [`LocationSubmission`]: crate::ppbs::location::LocationSubmission
@@ -248,9 +208,7 @@ impl IncrementalAuctioneer {
     /// Second half of a two-phase bid-only revision: installs the
     /// replacement built from the parts
     /// [`take_for_revise`](IncrementalAuctioneer::take_for_revise)
-    /// returned and re-ranks the slot in every channel order. Together
-    /// the two halves perform exactly
-    /// [`revise_bids`](IncrementalAuctioneer::revise_bids)' fast path.
+    /// returned and re-ranks the slot in every channel order.
     pub fn put_revised(&mut self, slot: u32, submission: crate::protocol::SuSubmission) {
         let k = submission.bids.n_channels();
         if self.orders.len() < k {
@@ -378,7 +336,7 @@ impl IncrementalAuctioneer {
     }
 
     /// The compacted conflict graph over the live set — equal to
-    /// [`build_conflict_graph`] over the live submissions in
+    /// [`crate::protocol::conflict_graph`] over the live submissions in
     /// [`live_slots`](IncrementalAuctioneer::live_slots) order.
     pub fn conflict_graph(&self) -> ConflictGraph {
         self.conflict_graph_from(&self.live_slots(), Vec::new(), &mut Vec::new())
@@ -451,35 +409,20 @@ impl IncrementalAuctioneer {
             .collect()
     }
 
-    /// Runs one auction round over the resident state: the persistent
-    /// conflict graph replaces phase 1, then the shared phase-2–4
-    /// pipeline (masked table, greedy allocation, TTP charging) runs
-    /// unchanged. Grants use compact ids into
+    /// Runs one auction round over the resident state, on caller-owned
+    /// [`RoundScratch`]: the persistent conflict graph replaces phase 1,
+    /// the tie classes are read off the maintained channel orders, and
+    /// the auction core's allocate and charge halves run unchanged.
+    /// Grants use compact ids into
     /// [`live_slots`](IncrementalAuctioneer::live_slots).
     ///
-    /// Bit-identical to
+    /// Tie classes, the conflict-matrix backing store, allocation
+    /// buffers and charge-verification tag sets all come from the pool
+    /// and return to it, so a warm sustained-churn round runs nearly
+    /// allocation-free. The result is bit-identical to
     /// [`run_private_auction_with_model`](crate::protocol::run_private_auction_with_model)
     /// over [`compact_submissions`](IncrementalAuctioneer::compact_submissions)
     /// with the same RNG state.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::protocol::run_private_auction`].
-    pub fn run_round<R: Rng>(
-        &self,
-        ttp: &Ttp,
-        rng: &mut R,
-    ) -> Result<PrivateAuctionResult, LppaError> {
-        self.run_round_in(ttp, rng, &mut RoundScratch::new())
-    }
-
-    /// [`run_round`](Self::run_round) over caller-owned
-    /// [`RoundScratch`]: tie classes, the conflict-matrix backing store,
-    /// allocation buffers and charge-verification tag sets all come from
-    /// the pool and return to it, so a warm sustained-churn round runs
-    /// nearly allocation-free. Control flow and RNG consumption are
-    /// identical to [`run_round`](Self::run_round), so the result is
-    /// bitwise-equal.
     ///
     /// The scratch also memoizes TTP charge verdicts per `(slot,
     /// channel)`; a caller that reuses one scratch across rounds **must**
@@ -488,7 +431,7 @@ impl IncrementalAuctioneer {
     ///
     /// # Errors
     ///
-    /// As for [`crate::protocol::run_private_auction`].
+    /// As for [`crate::protocol::run_private_auction_with_model`].
     pub fn run_round_in<R: Rng>(
         &self,
         ttp: &Ttp,
@@ -498,19 +441,14 @@ impl IncrementalAuctioneer {
         // Phase 2 from resident state: borrow the bid submissions in
         // place (locations are already distilled into the resident
         // graph) and read the tie classes off the maintained channel
-        // orders — no clones and no per-round masked ranking sort.
+        // orders — no clones and no per-round masked ranking.
         let order = self.live_slots();
         let bids: Vec<&AdvancedBidSubmission> = order
             .iter()
             .map(|&s| &self.slots[s as usize].as_ref().expect("live slot").bids)
             .collect();
         let classes = self.channel_classes_in(&order, scratch);
-        let table = match self.model {
-            AuctioneerModel::Oblivious => MaskedBidTable::collect_with_classes(bids, classes)?,
-            AuctioneerModel::IterativeCharging => {
-                MaskedBidTable::collect_pruned_with_classes(bids, classes)?
-            }
-        };
+        let table = MaskedBidTable::with_classes(bids, classes, self.model)?;
         let mut lut = scratch.take_classes();
         let conflicts = self.conflict_graph_from(&order, scratch.take_matrix(), &mut lut);
         scratch.recycle_classes([lut]);
@@ -518,14 +456,6 @@ impl IncrementalAuctioneer {
         scratch.recycle_classes(table.into_classes());
         result
     }
-}
-
-/// Sanity helper for tests and the differential oracle: the graph a
-/// batch rebuild would produce over `submissions`.
-pub fn rebuild_conflict_graph(submissions: &[crate::protocol::SuSubmission]) -> ConflictGraph {
-    let locations: Vec<LocationSubmission> =
-        submissions.iter().map(|s| s.location.clone()).collect();
-    build_conflict_graph(&locations)
 }
 
 #[cfg(test)]
@@ -567,7 +497,8 @@ mod tests {
                 }
             }
             let compacted = state.compact_submissions();
-            assert_eq!(state.conflict_graph(), rebuild_conflict_graph(&compacted), "round {round}");
+            let rebuilt = crate::protocol::conflict_graph(&compacted);
+            assert_eq!(state.conflict_graph(), rebuilt, "round {round}");
         }
     }
 
@@ -598,7 +529,13 @@ mod tests {
                 continue;
             }
             let round_seed = rng.gen::<u64>();
-            let delta = state.run_round(&ttp, &mut StdRng::seed_from_u64(round_seed)).unwrap();
+            let delta = state
+                .run_round_in(
+                    &ttp,
+                    &mut StdRng::seed_from_u64(round_seed),
+                    &mut RoundScratch::new(),
+                )
+                .unwrap();
             let scratch = run_private_auction_with_model(
                 &state.compact_submissions(),
                 &ttp,
@@ -649,8 +586,9 @@ mod tests {
     }
 
     #[test]
-    fn revise_bids_fast_path_matches_full_revise() {
+    fn two_phase_bid_revise_matches_full_revise() {
         let ttp = ttp(2, 0xf6);
+        let policy = ZeroReplacePolicy::never(ttp.config().bid_max());
         let mut rng = StdRng::seed_from_u64(0xbead);
         let mut fast = IncrementalAuctioneer::new(AuctioneerModel::IterativeCharging);
         let mut full = IncrementalAuctioneer::new(AuctioneerModel::IterativeCharging);
@@ -662,26 +600,33 @@ mod tests {
             fast.join(submission(&ttp, loc, &bids, seed));
             full.join(submission(&ttp, loc, &bids, seed));
         }
+        let mut pool = crate::arena::MaskScratch::new();
         for round in 0..6u64 {
             let i = rng.gen_range(0..12u32);
+            let (seed, loc) = (seeds[i as usize], locs[i as usize]);
             let bids = [rng.gen_range(0..9), rng.gen_range(0..9)];
-            // Same seed + same location: only the bids move.
-            fast.revise_bids(i, submission(&ttp, locs[i as usize], &bids, seeds[i as usize]));
-            full.revise(i, submission(&ttp, locs[i as usize], &bids, seeds[i as usize]));
+            // Same seed + same location: the resident masked location
+            // moves back in unchanged and only the bids are re-masked.
+            let SuSubmission { location, bids: retired } = fast.take_for_revise(i);
+            retired.reclaim(&mut pool);
+            let mut child = StdRng::seed_from_u64(seed);
+            let revised = SuSubmission::rebuild_bids_in(
+                location, loc, &bids, &ttp, &policy, &mut child, &mut pool,
+            )
+            .unwrap();
+            fast.put_revised(i, revised);
+            full.revise(i, submission(&ttp, loc, &bids, seed));
             assert_eq!(fast.conflict_graph(), full.conflict_graph(), "round {round}");
             assert_eq!(fast.channel_classes(), full.channel_classes(), "round {round}");
             let round_seed = rng.gen::<u64>();
-            let a = fast.run_round(&ttp, &mut StdRng::seed_from_u64(round_seed)).unwrap();
-            let b = full.run_round(&ttp, &mut StdRng::seed_from_u64(round_seed)).unwrap();
+            let run = |state: &IncrementalAuctioneer| {
+                let mut rng = StdRng::seed_from_u64(round_seed);
+                state.run_round_in(&ttp, &mut rng, &mut RoundScratch::new()).unwrap()
+            };
+            let (a, b) = (run(&fast), run(&full));
             assert_eq!(a.grants, b.grants, "round {round}");
             assert_eq!(a.outcome.assignments(), b.outcome.assignments(), "round {round}");
         }
-        // A relocation through revise_bids must fall back to the full
-        // path and still track conflicts correctly.
-        let moved = Location::new(99, 99);
-        fast.revise_bids(0, submission(&ttp, moved, &[1, 1], 777));
-        full.revise(0, submission(&ttp, moved, &[1, 1], 777));
-        assert_eq!(fast.conflict_graph(), full.conflict_graph());
     }
 
     #[test]

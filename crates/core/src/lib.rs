@@ -15,13 +15,18 @@
 //!   let the auctioneer build the conflict graph and find per-channel
 //!   maxima without seeing any plaintext;
 //! * [`psd`] — **Private Spectrum Distribution**: the greedy allocation
-//!   driven by masked comparisons ([`psd::table`]), plus first-price
-//!   charging through a periodically-online TTP ([`ttp`]);
+//!   driven by masked comparisons ([`psd::table`], one table for every
+//!   masking backend), plus first-price charging through a
+//!   periodically-online TTP ([`ttp`]);
 //! * [`zero_replace`] — the per-bidder disguise policies that blunt the
 //!   BCM attack at a quantifiable performance cost;
 //! * [`analysis`] — the paper's Theorems 1–4 with Monte-Carlo
 //!   validators;
-//! * [`protocol`] — the end-to-end auction round;
+//! * [`protocol`] — the end-to-end auction round:
+//!   [`protocol::build_submissions`] on the bidder side, then
+//!   [`protocol::run_private_auction_with_model`] (or
+//!   [`backend::run_private_auction_with_backend`] for Vickrey
+//!   settlement and the audit ledger) on the auctioneer side;
 //! * [`incremental`] — delta-maintained auctioneer state for churn
 //!   (joins/leaves/revisions between rounds), bit-identical to a
 //!   from-scratch rebuild.
@@ -31,7 +36,7 @@
 //! A complete private auction with three bidders and two channels:
 //!
 //! ```
-//! use lppa::protocol::run_private_auction_from_bids;
+//! use lppa::protocol::{build_submissions, run_private_auction_with_model, AuctioneerModel};
 //! use lppa::ttp::Ttp;
 //! use lppa::zero_replace::ZeroReplacePolicy;
 //! use lppa::LppaConfig;
@@ -49,7 +54,9 @@
 //!     (Location::new(90, 90), vec![25, 60]),
 //!     (Location::new(11, 11), vec![55, 10]),
 //! ];
-//! let result = run_private_auction_from_bids(&bidders, &ttp, &policy, &mut rng)?;
+//! let submissions = build_submissions(&bidders, &ttp, &policy, &mut rng)?;
+//! let result =
+//!     run_private_auction_with_model(&submissions, &ttp, AuctioneerModel::default(), &mut rng)?;
 //! println!("revenue: {}", result.outcome.revenue());
 //! # Ok(())
 //! # }
@@ -75,9 +82,8 @@ pub mod zero_replace;
 
 pub use analysis::{cost_model, CostModel};
 pub use backend::{
-    backend_classes, bloom_probe_stats, charge_request_for, run_private_auction_with_backend,
-    run_private_auction_with_backend_graph, settle_ledger, BackendAuctionResult, BackendBidTable,
-    BloomProbeStats,
+    bloom_probe_stats, run_private_auction_with_backend, settle_ledger, BackendAuctionResult,
+    BloomProbeStats, RoundLedger,
 };
 pub use config::LppaConfig;
 pub use error::LppaError;
@@ -85,13 +91,10 @@ pub use incremental::IncrementalAuctioneer;
 pub use ppbs::bid::{AdvancedBidSubmission, BasicBidSubmission, ChannelBid};
 pub use ppbs::location::{build_conflict_graph, LocationSubmission};
 pub use protocol::{
-    charge_requests, run_private_auction, run_private_auction_from_bids,
-    run_private_auction_from_bids_with_model, run_private_auction_tolerant,
-    run_private_auction_with_graph, run_private_auction_with_model, validate_submission,
-    validate_submission_with, AuctioneerModel, PrivateAuctionResult, SuSubmission,
-    TolerantAuctionResult,
+    charge_requests, run_private_auction_with_model, validate_submission, validate_submission_with,
+    AuctioneerModel, PrivateAuctionResult, SuSubmission,
 };
-pub use psd::table::MaskedBidTable;
+pub use psd::table::{backend_classes, MaskedBidTable};
 pub use pseudonym::PseudonymPool;
 pub use rounds::{RoundDriver, RoundResult};
 pub use ttp::{BidderKeys, ChargeDecision, ChargeRequest, Ttp};

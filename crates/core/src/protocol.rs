@@ -12,19 +12,22 @@
 //!    back, disguised zeros are flagged invalid (the channel grant is
 //!    wasted — the §VI performance cost of the defence).
 
-use lppa_auction::allocation::{greedy_allocate, greedy_allocate_in, Grant};
-use lppa_prefix::MaskScratch;
+use std::borrow::Borrow;
 
-use crate::arena::RoundScratch;
-use lppa_auction::bidder::{BidderId, Location};
+use lppa_auction::allocation::{greedy_allocate_in, Grant};
+use lppa_auction::bidder::Location;
 use lppa_auction::conflict::ConflictGraph;
 use lppa_auction::outcome::{Assignment, AuctionOutcome};
+use lppa_prefix::backend::BackendKind;
+use lppa_prefix::MaskScratch;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{Rng, SeedableRng};
 
+use crate::arena::RoundScratch;
+use crate::backend::RoundLedger;
 use crate::config::LppaConfig;
 use crate::error::LppaError;
-use crate::ppbs::bid::AdvancedBidSubmission;
+use crate::ppbs::bid::{AdvancedBidSubmission, ChannelBid};
 use crate::ppbs::location::{build_conflict_graph, LocationSubmission};
 use crate::psd::table::MaskedBidTable;
 use crate::ttp::{ChargeDecision, ChargeRequest, Ttp};
@@ -236,105 +239,39 @@ pub struct PrivateAuctionResult {
     pub grants: Vec<Grant>,
 }
 
-/// Runs the auctioneer + TTP side of one complete LPPA auction.
-///
-/// `table` and the location submissions come from collected
-/// [`SuSubmission`]s; `ttp` performs the charging step.
+/// Runs the auctioneer + TTP side of one complete LPPA auction: the
+/// conflict graph from masked locations, the masked table under
+/// `model`, greedy allocation and first-price TTP charging.
 ///
 /// # Errors
 ///
 /// Returns an error if the submissions are inconsistent or the TTP
 /// detects tampering. Disguised zeros are *not* errors — they surface in
 /// `invalid_grants`.
-pub fn run_private_auction<R: Rng>(
-    submissions: &[SuSubmission],
-    ttp: &Ttp,
-    rng: &mut R,
-) -> Result<PrivateAuctionResult, LppaError> {
-    run_private_auction_with_model(submissions, ttp, AuctioneerModel::default(), rng)
-}
-
-/// As [`run_private_auction`], with an explicit [`AuctioneerModel`].
-///
-/// # Errors
-///
-/// As for [`run_private_auction`].
 pub fn run_private_auction_with_model<R: Rng>(
     submissions: &[SuSubmission],
     ttp: &Ttp,
     model: AuctioneerModel,
     rng: &mut R,
 ) -> Result<PrivateAuctionResult, LppaError> {
-    // Phase 1: conflict graph from masked locations.
+    let conflicts = conflict_graph(submissions);
+    let bids = submissions.iter().map(|s| s.bids.clone()).collect();
+    let table = MaskedBidTable::collect_with(bids, BackendKind::Hmac, model)?;
+    settle_allocation_in(&table, conflicts, ttp, rng, &mut RoundScratch::new(), None)
+}
+
+/// The conflict graph the auctioneer reconstructs from the submissions'
+/// masked locations.
+pub fn conflict_graph(submissions: &[SuSubmission]) -> ConflictGraph {
     let locations: Vec<LocationSubmission> =
         submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    run_private_auction_with_graph(submissions, conflicts, ttp, model, rng)
+    build_conflict_graph(&locations)
 }
 
-/// Phases 2–4 of [`run_private_auction_with_model`] over a *prebuilt*
-/// conflict graph: masked table collection, greedy allocation and TTP
-/// charging.
-///
-/// This is the entry point for callers that maintain the conflict graph
-/// incrementally across rounds (see [`crate::incremental`]) instead of
-/// rebuilding it from the submissions; with a graph equal to
-/// [`build_conflict_graph`]'s output, the result is bit-identical to
-/// the full run.
-///
-/// # Errors
-///
-/// As for [`run_private_auction`].
-///
-/// # Panics
-///
-/// The allocation panics if `conflicts` is not sized to
-/// `submissions.len()`.
-pub fn run_private_auction_with_graph<R: Rng>(
-    submissions: &[SuSubmission],
-    conflicts: ConflictGraph,
-    ttp: &Ttp,
-    model: AuctioneerModel,
-    rng: &mut R,
-) -> Result<PrivateAuctionResult, LppaError> {
-    // Phase 2: masked table.
-    let bids = submissions.iter().map(|s| s.bids.clone()).collect();
-    let table = match model {
-        AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-        AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-    };
-    settle_allocation(&table, conflicts, ttp, rng)
-}
-
-/// Phases 3–4 over an already-collected table: greedy allocation and
-/// TTP charging. Shared by the batch path above and the incremental
-/// engine (which collects its table with precomputed tie classes).
-pub(crate) fn settle_allocation<S, R>(
-    table: &MaskedBidTable<S>,
-    conflicts: ConflictGraph,
-    ttp: &Ttp,
-    rng: &mut R,
-) -> Result<PrivateAuctionResult, LppaError>
-where
-    S: std::borrow::Borrow<AdvancedBidSubmission> + Sync,
-    R: Rng,
-{
-    settle_allocation_in(table, conflicts, ttp, rng, &mut RoundScratch::new(), None)
-}
-
-/// [`settle_allocation`] over caller-owned scratch: the allocation loop
-/// runs on pooled buffers and the charging step borrows each winning
-/// bid's sealed value and masked point in place (no [`ChargeRequest`]
-/// clones), verifying through the scratch's tag-set pool. Control flow
-/// and RNG consumption match [`settle_allocation`] exactly.
-///
-/// `slots`, when given, maps each compact bidder id to its stable slot
-/// id and turns on the scratch's per-slot charge-decision memo: a
-/// decision is a pure function of the TTP's channel key and the slot's
-/// resident `(sealed, point)` pair, so re-verifying an unchurned winner
-/// re-derives the identical verdict — the memo skips that HMAC work
-/// without moving an output bit. The caller owns invalidation
-/// ([`RoundScratch::charge_clear_slot`] on every churn event).
+/// Phases 3–4 over a collected table: the allocate half (greedy
+/// allocation on the scratch's pooled buffers), then the charge half
+/// ([`charge_grants_in`]). Shared by the batch path and the incremental
+/// engine, which collects its table with precomputed tie classes.
 pub(crate) fn settle_allocation_in<S, R>(
     table: &MaskedBidTable<S>,
     conflicts: ConflictGraph,
@@ -344,29 +281,47 @@ pub(crate) fn settle_allocation_in<S, R>(
     slots: Option<&[u32]>,
 ) -> Result<PrivateAuctionResult, LppaError>
 where
-    S: std::borrow::Borrow<AdvancedBidSubmission> + Sync,
+    S: Borrow<AdvancedBidSubmission> + Sync,
     R: Rng,
 {
-    // Phase 3: greedy allocation over masked comparisons.
     let grants = greedy_allocate_in(table, &conflicts, rng, &mut scratch.alloc);
+    let (outcome, invalid_grants) = charge_grants_in(table, &grants, ttp, scratch, slots, None)?;
+    Ok(PrivateAuctionResult { outcome, invalid_grants, conflicts, grants })
+}
 
-    // Phase 4: charging through the TTP, borrowing winning bids in
-    // place. Fail-fast like `Ttp::open_charges`: the first tampering
-    // verdict aborts the round.
+/// The charge half of a round: opens every grant's sealed bid at the
+/// TTP, borrowing each winning bid's sealed value and masked point in
+/// place (no [`ChargeRequest`] clones) and verifying through the
+/// scratch's tag-set pool. Fail-fast: the first tampering verdict
+/// aborts the round. Returns the first-price outcome and the grants
+/// the TTP invalidated (disguised zeros), and appends one `charge`
+/// record per grant to `ledger` when given.
+///
+/// `slots`, when given, maps each compact bidder id to its stable slot
+/// id and turns on the scratch's per-slot charge-decision memo: a
+/// decision is a pure function of the TTP's channel key and the slot's
+/// resident `(sealed, point)` pair, so re-verifying an unchurned winner
+/// re-derives the identical verdict — the memo skips that HMAC work
+/// without moving an output bit. The caller owns invalidation
+/// ([`RoundScratch::charge_clear_slot`] on every churn event).
+pub(crate) fn charge_grants_in<S>(
+    table: &MaskedBidTable<S>,
+    grants: &[Grant],
+    ttp: &Ttp,
+    scratch: &mut RoundScratch,
+    slots: Option<&[u32]>,
+    mut ledger: Option<&mut RoundLedger>,
+) -> Result<(AuctionOutcome, Vec<Grant>), LppaError>
+where
+    S: Borrow<AdvancedBidSubmission> + Sync,
+{
     let k = ttp.n_channels();
     let mut assignments = Vec::new();
     let mut invalid_grants = Vec::new();
-    for grant in &grants {
-        let bid = table
-            .submissions()
-            .get(grant.bidder.0)
-            .and_then(|s| s.borrow().bids().get(grant.channel.0))
-            .ok_or_else(|| LppaError::Internal {
-                what: format!("grant ({}, {}) outside bid table", grant.bidder.0, grant.channel.0),
-            })?;
+    for grant in grants {
+        let bid = winning_bid(table, grant)?;
         let slot = slots.map(|order| order[grant.bidder.0]);
-        let memo = slot.and_then(|s| scratch.charge_get(s, grant.channel.0));
-        let decision = match memo {
+        let decision = match slot.and_then(|s| scratch.charge_get(s, grant.channel.0)) {
             Some(decision) => decision,
             None => {
                 let decision = ttp.open_charge_parts(
@@ -381,6 +336,9 @@ where
                 decision
             }
         };
+        if let Some(ledger) = ledger.as_deref_mut() {
+            ledger.charge(grant, Some(&Ok(decision)));
+        }
         match decision {
             ChargeDecision::Valid { raw_price } => assignments.push(Assignment {
                 bidder: grant.bidder,
@@ -390,13 +348,23 @@ where
             ChargeDecision::InvalidZero => invalid_grants.push(*grant),
         }
     }
+    let outcome = AuctionOutcome::from_assignments(assignments, table.submissions().len());
+    Ok((outcome, invalid_grants))
+}
 
-    Ok(PrivateAuctionResult {
-        outcome: AuctionOutcome::from_assignments(assignments, table.submissions().len()),
-        invalid_grants,
-        conflicts,
-        grants,
-    })
+/// The table cell a grant awards, checked instead of indexed so a
+/// corrupted grant list cannot panic the auctioneer.
+fn winning_bid<'a, S: Borrow<AdvancedBidSubmission> + Sync>(
+    table: &'a MaskedBidTable<S>,
+    grant: &Grant,
+) -> Result<&'a ChannelBid, LppaError> {
+    table
+        .submissions()
+        .get(grant.bidder.0)
+        .and_then(|s| s.borrow().bids().get(grant.channel.0))
+        .ok_or_else(|| LppaError::Internal {
+            what: format!("grant ({}, {}) outside bid table", grant.bidder.0, grant.channel.0),
+        })
 }
 
 /// Builds the TTP charging requests for `grants` over `table`.
@@ -407,20 +375,14 @@ where
 /// the table — impossible for grants produced by the allocation, but
 /// checked instead of indexed so corrupted grant lists cannot panic the
 /// auctioneer.
-pub fn charge_requests<S: std::borrow::Borrow<AdvancedBidSubmission> + Sync>(
+pub fn charge_requests<S: Borrow<AdvancedBidSubmission> + Sync>(
     table: &MaskedBidTable<S>,
     grants: &[Grant],
 ) -> Result<Vec<ChargeRequest>, LppaError> {
     grants
         .iter()
         .map(|g| {
-            let bid = table
-                .submissions()
-                .get(g.bidder.0)
-                .and_then(|s| s.borrow().bids().get(g.channel.0))
-                .ok_or_else(|| LppaError::Internal {
-                    what: format!("grant ({}, {}) outside bid table", g.bidder.0, g.channel.0),
-                })?;
+            let bid = winning_bid(table, g)?;
             Ok(ChargeRequest {
                 channel: g.channel,
                 sealed: bid.sealed.clone(),
@@ -428,143 +390,6 @@ pub fn charge_requests<S: std::borrow::Borrow<AdvancedBidSubmission> + Sync>(
             })
         })
         .collect()
-}
-
-/// The result of a fault-tolerant private auction round: the valid
-/// subset was auctioned, and every per-bidder failure is reported
-/// instead of aborting the round.
-///
-/// All bidder ids in `outcome`, `invalid_grants` and `grants` are
-/// *original* submission indices; `conflicts` is over the accepted
-/// subset in `accepted` order (compact ids), since rejected bidders have
-/// no usable location.
-#[derive(Clone, Debug)]
-pub struct TolerantAuctionResult {
-    /// Valid assignments with TTP-decrypted charges, original ids.
-    pub outcome: AuctionOutcome,
-    /// Disguised-zero wins the TTP invalidated, original ids.
-    pub invalid_grants: Vec<Grant>,
-    /// Raw grants in allocation order (before charging), original ids.
-    pub grants: Vec<Grant>,
-    /// Conflict graph over the accepted subset (compact ids, index into
-    /// `accepted`).
-    pub conflicts: ConflictGraph,
-    /// Original indices of the submissions that entered the auction.
-    pub accepted: Vec<usize>,
-    /// Per-bidder rejections: `(original index, cause)`. Collect-stage
-    /// rejections come from [`validate_submission`]; charge-stage ones
-    /// are [`LppaError::ChargeAuthentication`] /
-    /// [`LppaError::ChargeManipulated`] verdicts whose grants were
-    /// struck.
-    pub rejected: Vec<(usize, LppaError)>,
-}
-
-/// Fault-tolerant variant of [`run_private_auction_with_model`]: instead
-/// of aborting on the first bad submission, each bidder is validated
-/// independently, the auction runs over the valid subset, and charging
-/// uses the per-request TTP interface so one manipulated price strikes
-/// only its own grant.
-///
-/// # Errors
-///
-/// Returns [`LppaError::QuorumNotReached`] (with `required == 1`) only
-/// when *no* submission survives validation; per-bidder failures land in
-/// [`TolerantAuctionResult::rejected`].
-pub fn run_private_auction_tolerant<R: Rng>(
-    submissions: &[SuSubmission],
-    ttp: &Ttp,
-    model: AuctioneerModel,
-    rng: &mut R,
-) -> Result<TolerantAuctionResult, LppaError> {
-    let mut accepted_idx: Vec<usize> = Vec::new();
-    let mut accepted: Vec<SuSubmission> = Vec::new();
-    let mut rejected: Vec<(usize, LppaError)> = Vec::new();
-    for (i, sub) in submissions.iter().enumerate() {
-        match validate_submission(sub, ttp) {
-            Ok(()) => {
-                accepted_idx.push(i);
-                accepted.push(sub.clone());
-            }
-            Err(cause) => rejected.push((i, cause)),
-        }
-    }
-    if accepted.is_empty() {
-        return Err(LppaError::QuorumNotReached { accepted: 0, required: 1 });
-    }
-
-    // Phases 1–3 over the accepted subset (compact ids).
-    let locations: Vec<LocationSubmission> = accepted.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    let bids = accepted.iter().map(|s| s.bids.clone()).collect();
-    let table = match model {
-        AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-        AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-    };
-    let compact_grants = greedy_allocate(&table, &conflicts, rng);
-
-    // Phase 4: per-request charging — a bad verdict strikes one grant.
-    let requests = charge_requests(&table, &compact_grants)?;
-    let verdicts = ttp.open_charges_tolerant(&requests);
-
-    let to_original = |g: &Grant| Grant { bidder: BidderId(accepted_idx[g.bidder.0]), ..*g };
-    let mut assignments = Vec::new();
-    let mut invalid_grants = Vec::new();
-    for (grant, verdict) in compact_grants.iter().zip(verdicts) {
-        let original = to_original(grant);
-        match verdict {
-            Ok(ChargeDecision::Valid { raw_price }) => assignments.push(Assignment {
-                bidder: original.bidder,
-                channel: original.channel,
-                price: raw_price,
-            }),
-            Ok(ChargeDecision::InvalidZero) => invalid_grants.push(original),
-            Err(cause) => rejected.push((original.bidder.0, cause)),
-        }
-    }
-    rejected.sort_by_key(|(i, _)| *i);
-
-    Ok(TolerantAuctionResult {
-        outcome: AuctionOutcome::from_assignments(assignments, submissions.len()),
-        invalid_grants,
-        grants: compact_grants.iter().map(to_original).collect(),
-        conflicts,
-        accepted: accepted_idx,
-        rejected,
-    })
-}
-
-/// Convenience wrapper: builds every submission and runs the auction.
-///
-/// `bidders` supplies `(location, raw bid vector)` pairs; all bidders
-/// share `policy`.
-///
-/// # Errors
-///
-/// As for [`SuSubmission::build`] and [`run_private_auction`].
-pub fn run_private_auction_from_bids<R: Rng>(
-    bidders: &[(Location, Vec<u32>)],
-    ttp: &Ttp,
-    policy: &ZeroReplacePolicy,
-    rng: &mut R,
-) -> Result<PrivateAuctionResult, LppaError> {
-    run_private_auction_from_bids_with_model(bidders, ttp, policy, AuctioneerModel::default(), rng)
-}
-
-/// As [`run_private_auction_from_bids`], with an explicit
-/// [`AuctioneerModel`].
-///
-/// # Errors
-///
-/// As for [`run_private_auction_from_bids`].
-pub fn run_private_auction_from_bids_with_model<R: Rng>(
-    bidders: &[(Location, Vec<u32>)],
-    ttp: &Ttp,
-    policy: &ZeroReplacePolicy,
-    model: AuctioneerModel,
-    rng: &mut R,
-) -> Result<PrivateAuctionResult, LppaError> {
-    let submissions = build_submissions(bidders, ttp, policy, rng)?;
-    run_private_auction_with_model(&submissions, ttp, model, rng)
 }
 
 /// Builds every bidder's [`SuSubmission`] in parallel.
@@ -606,22 +431,25 @@ pub fn build_submissions<R: Rng>(
     .collect()
 }
 
-/// Re-derives which bidder a grant belongs to for bookkeeping.
-pub fn grant_bidders(grants: &[Grant]) -> Vec<BidderId> {
-    grants.iter().map(|g| g.bidder).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LppaConfig;
-    use lppa_rng::rngs::StdRng;
-    use lppa_rng::SeedableRng;
+    use lppa_auction::bidder::BidderId;
 
     fn ttp(k: usize, seed: u64) -> (Ttp, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ttp = Ttp::new(k, LppaConfig::default(), &mut rng).unwrap();
         (ttp, rng)
+    }
+
+    fn run_from_bids(
+        bidders: &[(Location, Vec<u32>)],
+        ttp: &Ttp,
+        policy: &ZeroReplacePolicy,
+        rng: &mut StdRng,
+    ) -> PrivateAuctionResult {
+        let submissions = build_submissions(bidders, ttp, policy, rng).unwrap();
+        run_private_auction_with_model(&submissions, ttp, AuctioneerModel::default(), rng).unwrap()
     }
 
     #[test]
@@ -635,7 +463,7 @@ mod tests {
             (Location::new(100, 100), vec![40, 20, 0]),
             (Location::new(1, 1), vec![60, 0, 5]), // conflicts with bidder 0
         ];
-        let result = run_private_auction_from_bids(&bidders, &ttp, &policy, &mut rng).unwrap();
+        let result = run_from_bids(&bidders, &ttp, &policy, &mut rng);
 
         assert!(result.invalid_grants.is_empty(), "no disguises, no invalid wins");
         // Bidder 2 outbids bidder 0 on channel 0 and they conflict, so
@@ -666,7 +494,7 @@ mod tests {
             Location::new(13, 9),
         ];
         let bidders: Vec<(Location, Vec<u32>)> = locs.iter().map(|&l| (l, vec![5u32])).collect();
-        let result = run_private_auction_from_bids(&bidders, &ttp, &policy, &mut rng).unwrap();
+        let result = run_from_bids(&bidders, &ttp, &policy, &mut rng);
         let plain = ConflictGraph::from_locations(&locs, ttp.config().lambda);
         assert_eq!(result.conflicts, plain);
     }
@@ -688,7 +516,7 @@ mod tests {
             (Location::new(5, 5), vec![0]),
             (Location::new(5, 5), vec![0]),
         ];
-        let result = run_private_auction_from_bids(&bidders, &ttp, &always_high, &mut rng).unwrap();
+        let result = run_from_bids(&bidders, &ttp, &always_high, &mut rng);
         // The disguised zeros (presenting bmax) beat the genuine bid 1.
         assert_eq!(result.grants.len(), 1);
         assert_eq!(result.invalid_grants.len(), 1);
@@ -713,10 +541,7 @@ mod tests {
                     (loc, bids)
                 })
                 .collect();
-            run_private_auction_from_bids(&bidders, &ttp, &policy, &mut rng)
-                .unwrap()
-                .outcome
-                .revenue()
+            run_from_bids(&bidders, &ttp, &policy, &mut rng).outcome.revenue()
         };
         let mut none_total = 0u64;
         let mut full_total = 0u64;
@@ -804,92 +629,5 @@ mod tests {
         // checksum is the transport-level defence, the TTP the
         // protocol-level one.
         assert!(validate_submission(&tampered, &ttp).is_ok());
-    }
-
-    #[test]
-    fn tolerant_auction_quarantines_ragged_and_continues() {
-        let (ttp, mut rng) = ttp(2, 8);
-        let policy = ZeroReplacePolicy::never(ttp.config().bid_max());
-        let good_a =
-            SuSubmission::build(Location::new(0, 0), &[50, 10], &ttp, &policy, &mut rng).unwrap();
-        let ttp3 = Ttp::new(3, *ttp.config(), &mut rng).unwrap();
-        let ragged =
-            SuSubmission::build(Location::new(5, 5), &[1, 2, 3], &ttp3, &policy, &mut rng).unwrap();
-        let good_b =
-            SuSubmission::build(Location::new(90, 90), &[20, 40], &ttp, &policy, &mut rng).unwrap();
-
-        let result = run_private_auction_tolerant(
-            &[good_a, ragged, good_b],
-            &ttp,
-            AuctioneerModel::default(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(result.accepted, vec![0, 2]);
-        assert_eq!(result.rejected.len(), 1);
-        assert_eq!(result.rejected[0].0, 1);
-        // Original ids survive translation: bidder 2 (not compact id 1)
-        // appears in the outcome.
-        let winners: Vec<usize> = result.outcome.assignments().iter().map(|a| a.bidder.0).collect();
-        assert!(winners.contains(&0) && winners.contains(&2), "{winners:?}");
-        assert!(!winners.contains(&1));
-        // Both valid bidders are far apart: each takes a channel.
-        assert_eq!(result.outcome.assignments().len(), 2);
-    }
-
-    #[test]
-    fn tolerant_auction_strikes_manipulated_grants_only() {
-        // One bidder presents the prefixes of a huge bid but seals a tiny
-        // one: it wins allocation, the TTP flags manipulation, and only
-        // that grant is struck — honest winners keep theirs.
-        let (ttp, mut rng) = ttp(1, 9);
-        let config = *ttp.config();
-        let policy = ZeroReplacePolicy::never(config.bid_max());
-        let honest =
-            SuSubmission::build(Location::new(0, 0), &[30], &ttp, &policy, &mut rng).unwrap();
-        let mut cheat =
-            SuSubmission::build(Location::new(1, 1), &[2], &ttp, &policy, &mut rng).unwrap();
-        // Forge the presented point/range as bid 120, keep the sealed 2.
-        let shown = config.cr * config.offset_bid(120);
-        let keys = ttp.bidder_keys();
-        let mut bids = cheat.bids.bids().to_vec();
-        bids[0].point =
-            lppa_prefix::MaskedPoint::mask(&keys.gb[0], config.transformed_bits(), shown).unwrap();
-        bids[0].range = lppa_prefix::MaskedRange::mask_padded(
-            &keys.gb[0],
-            config.transformed_bits(),
-            shown,
-            config.transformed_max(),
-            &mut rng,
-        )
-        .unwrap();
-        cheat.bids = crate::ppbs::bid::AdvancedBidSubmission::from_parts(
-            bids,
-            cheat.bids.presented_positive().to_vec(),
-        )
-        .unwrap();
-
-        let result = run_private_auction_tolerant(
-            &[honest, cheat],
-            &ttp,
-            AuctioneerModel::default(),
-            &mut rng,
-        )
-        .unwrap();
-        // The cheat won the (conflicting) contest but was struck.
-        assert!(result
-            .rejected
-            .iter()
-            .any(|(i, e)| *i == 1 && matches!(e, LppaError::ChargeManipulated)));
-        assert!(result.outcome.assignments().iter().all(|a| a.bidder.0 != 1));
-    }
-
-    #[test]
-    fn grant_bidders_projects() {
-        let grants = vec![
-            Grant { bidder: BidderId(3), channel: lppa_spectrum::ChannelId(0) },
-            Grant { bidder: BidderId(1), channel: lppa_spectrum::ChannelId(2) },
-        ];
-        assert_eq!(grant_bidders(&grants), vec![BidderId(3), BidderId(1)]);
     }
 }

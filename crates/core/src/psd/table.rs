@@ -7,16 +7,22 @@
 //! implementation) and to rank a column (which is also exactly the
 //! information the §VI attacker can exploit, see
 //! `lppa_attack::ChannelRankings`).
+//!
+//! One table serves every [`BackendKind`]: the backend only decides how
+//! the per-channel tie classes are ranked. The exact backends (`hmac`,
+//! `ledger`) rank with [`compute_classes`]; `bloom`, whose `≥` can be
+//! intransitive, ranks with [`backend_classes`]' dominance count.
 
 use lppa_auction::allocation::BidOracle;
 use lppa_auction::bidder::BidderId;
-use lppa_prefix::TagIndex;
+use lppa_prefix::backend::{Backend, BackendKind, BackendPoint, BackendRange, MaskingBackend};
 use lppa_spectrum::ChannelId;
 
 use std::borrow::Borrow;
 
 use crate::error::LppaError;
 use crate::ppbs::bid::AdvancedBidSubmission;
+use crate::protocol::AuctioneerModel;
 
 /// All bidders' masked submissions, as the auctioneer stores them.
 #[derive(Clone, Debug)]
@@ -27,110 +33,93 @@ pub struct MaskedBidTable<S = AdvancedBidSubmission> {
     /// Per-channel *tie classes*: `classes[ch][b]` is bidder `b`'s rank
     /// class on channel `ch` by descending masked bid, `0` highest, with
     /// equal transformed values (mutual masked `≥`) sharing a class.
-    /// Computed once per collect — every later winner selection is then
-    /// pure integer work instead of `O(m)` masked membership tests.
+    /// Computed once per collect — every later winner selection and
+    /// ranking is then pure integer work instead of masked membership
+    /// tests.
     classes: Vec<Vec<u32>>,
-    /// One inverted index per channel over every bidder's *point* tags,
-    /// built lazily on first use. Probing a range against it yields all
-    /// bidders whose masked bid is ≥ that range's lower bound — the
-    /// reference path ([`Self::maxima_indexed`]) the class-based winner
-    /// selection is property-tested against.
-    point_indexes: std::sync::OnceLock<Vec<TagIndex>>,
 }
 
 impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
-    /// Collects the submissions into a fully oblivious table: every cell
-    /// is an entry, because the auctioneer cannot tell zeros apart.
+    /// [`Self::collect_with`] for the `hmac` backend and the fully
+    /// oblivious model: every cell is an entry, because the auctioneer
+    /// cannot tell zeros apart.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::collect_with`].
+    pub fn collect(submissions: Vec<S>) -> Result<Self, LppaError> {
+        Self::collect_with(submissions, BackendKind::Hmac, AuctioneerModel::Oblivious)
+    }
+
+    /// [`Self::collect_with`] for the `hmac` backend and the
+    /// iterative-charging model (plain-zero pruning).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::collect_with`].
+    pub fn collect_pruned(submissions: Vec<S>) -> Result<Self, LppaError> {
+        Self::collect_with(submissions, BackendKind::Hmac, AuctioneerModel::IterativeCharging)
+    }
+
+    /// Collects the submissions, ranking every channel through the
+    /// backend named by `kind`.
+    ///
+    /// Under [`AuctioneerModel::IterativeCharging`] cells whose presented
+    /// value is an undisguised zero are treated as absent (*plain-zero
+    /// pruning*): whenever a plain zero wins, the TTP detects it (the
+    /// winner's prefixes match its sealed zero-band value), reveals it,
+    /// and the auctioneer strikes the cell and re-auctions the channel.
+    /// Since a plain zero never beats a positive-looking entry, striking
+    /// them all up front yields the same final allocation as the
+    /// round-by-round iteration.
     ///
     /// # Errors
     ///
     /// Returns [`LppaError::ChannelCountMismatch`] if the submissions do
     /// not all cover the same channels, or [`LppaError::InvalidConfig`]
     /// if there are none.
-    pub fn collect(submissions: Vec<S>) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, false, None)
-    }
-
-    /// Collects the submissions with *plain-zero pruning*: cells whose
-    /// presented value is an undisguised zero are treated as absent.
-    ///
-    /// This models the iterative charging protocol
-    /// (`crate::protocol::AuctioneerModel::IterativeCharging`): whenever
-    /// a plain zero wins, the TTP detects it (the winner's prefixes match
-    /// its sealed zero-band value), reveals it, and the auctioneer
-    /// strikes the cell and re-auctions the channel. Since a plain zero
-    /// never beats a positive-looking entry, striking them all up front
-    /// yields the same final allocation as the round-by-round iteration.
-    pub fn collect_pruned(submissions: Vec<S>) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, true, None)
-    }
-
-    /// As [`Self::collect`], with *precomputed* per-channel tie classes
-    /// (see [`Self::classes`]) — for callers that maintain the channel
-    /// orders incrementally across rounds (`crate::incremental`) and so
-    /// skip the per-collect masked ranking sort.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::collect`], plus [`LppaError::InvalidConfig`] if
-    /// the class table is not `n_channels × n_bidders`.
-    pub fn collect_with_classes(
+    pub fn collect_with(
         submissions: Vec<S>,
-        classes: Vec<Vec<u32>>,
+        kind: BackendKind,
+        model: AuctioneerModel,
     ) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, false, Some(classes))
-    }
-
-    /// As [`Self::collect_pruned`], with precomputed tie classes; see
-    /// [`Self::collect_with_classes`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::collect_with_classes`].
-    pub fn collect_pruned_with_classes(
-        submissions: Vec<S>,
-        classes: Vec<Vec<u32>>,
-    ) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, true, Some(classes))
-    }
-
-    fn collect_inner(
-        submissions: Vec<S>,
-        prune_plain_zeros: bool,
-        classes: Option<Vec<Vec<u32>>>,
-    ) -> Result<Self, LppaError> {
-        let n_channels = submissions
-            .first()
-            .map(|s| s.borrow().n_channels())
-            .ok_or_else(|| LppaError::InvalidConfig { reason: "no submissions".into() })?;
-        for s in &submissions {
-            if s.borrow().n_channels() != n_channels {
-                return Err(LppaError::ChannelCountMismatch {
-                    submitted: s.borrow().n_channels(),
-                    expected: n_channels,
-                });
-            }
-        }
-        let classes = match classes {
-            Some(classes) => {
-                if classes.len() != n_channels
-                    || classes.iter().any(|col| col.len() != submissions.len())
-                {
-                    return Err(LppaError::InvalidConfig {
-                        reason: "class table is not n_channels × n_bidders".into(),
-                    });
-                }
-                classes
-            }
-            None => compute_classes(&submissions),
+        let n_channels = channel_count(&submissions)?;
+        let classes = match kind {
+            BackendKind::Bloom => backend_classes(&kind.backend(), &submissions, n_channels),
+            BackendKind::Hmac | BackendKind::Ledger => compute_classes(&submissions),
         };
-        Ok(Self {
-            submissions,
-            n_channels,
-            prune_plain_zeros,
-            classes,
-            point_indexes: std::sync::OnceLock::new(),
-        })
+        Ok(Self::assemble(submissions, n_channels, classes, model))
+    }
+
+    /// A table over *precomputed* tie classes — for the incremental
+    /// engine, which maintains the channel orders across rounds and so
+    /// skips the per-collect ranking. `classes` must be
+    /// `n_channels × n_bidders`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Self::collect_with`].
+    pub(crate) fn with_classes(
+        submissions: Vec<S>,
+        classes: Vec<Vec<u32>>,
+        model: AuctioneerModel,
+    ) -> Result<Self, LppaError> {
+        let n_channels = channel_count(&submissions)?;
+        debug_assert!(
+            classes.len() == n_channels && classes.iter().all(|c| c.len() == submissions.len()),
+            "class table is not n_channels × n_bidders"
+        );
+        Ok(Self::assemble(submissions, n_channels, classes, model))
+    }
+
+    fn assemble(
+        submissions: Vec<S>,
+        n_channels: usize,
+        classes: Vec<Vec<u32>>,
+        model: AuctioneerModel,
+    ) -> Self {
+        let prune_plain_zeros = model == AuctioneerModel::IterativeCharging;
+        Self { submissions, n_channels, prune_plain_zeros, classes }
     }
 
     /// The per-channel tie classes driving winner selection;
@@ -144,22 +133,6 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
     /// loop can recycle their backing storage.
     pub(crate) fn into_classes(self) -> Vec<Vec<u32>> {
         self.classes
-    }
-
-    /// The per-channel point-tag indexes, built on first use (the
-    /// class-based winner selection never needs them).
-    fn point_index(&self, channel: ChannelId) -> &TagIndex {
-        &self.point_indexes.get_or_init(|| {
-            let channels: Vec<usize> = (0..self.n_channels).collect();
-            lppa_par::par_map(&channels, |&ch| {
-                let tags_per_point = self.submissions[0].borrow().bids()[ch].point.len();
-                let mut index = TagIndex::with_capacity(self.submissions.len() * tags_per_point);
-                for (bidder, s) in self.submissions.iter().enumerate() {
-                    index.insert_all(s.borrow().bids()[ch].point.iter(), bidder as u32);
-                }
-                index
-            })
-        })[channel.0]
     }
 
     /// The stored submissions (owned or borrowed, per `S`).
@@ -196,26 +169,18 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
         Ok(cell(a)?.point.in_range(&cell(b)?.range))
     }
 
-    /// Ranks all bidders on `channel` by descending masked bid — the
-    /// §VI attacker's view of a column.
+    /// Ranks all bidders on `channel` by descending masked bid, ties in
+    /// ascending id order — the §VI attacker's view of a column, read
+    /// off the stored tie classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is out of range.
     pub fn rank_channel(&self, channel: ChannelId) -> Vec<BidderId> {
+        let classes = &self.classes[channel.0];
         let mut order: Vec<BidderId> = (0..self.submissions.len()).map(BidderId).collect();
-        // The masked ≥ relation is a total preorder on the column;
-        // testing both directions keeps the comparator consistent even
-        // when two transformed values tie (equal raw bids landing in the
-        // same cr slot).
-        order.sort_by(|&a, &b| {
-            if a == b {
-                return std::cmp::Ordering::Equal;
-            }
-            match (self.ge(channel, a, b), self.ge(channel, b, a)) {
-                (true, false) => std::cmp::Ordering::Less, // larger bid sorts first
-                (false, true) => std::cmp::Ordering::Greater,
-                // Tied transformed values — or, unreachable for a sound
-                // oracle, mutually incomparable ones.
-                _ => std::cmp::Ordering::Equal,
-            }
-        });
+        // Stable: bidders of one class keep ascending id order.
+        order.sort_by_key(|b| classes[b.0]);
         order
     }
 
@@ -224,56 +189,12 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
         (0..self.n_channels).map(|c| self.rank_channel(ChannelId(c))).collect()
     }
 
-    /// One maximal element of the column restricted to `candidates`:
-    /// a single tournament pass of masked comparisons. `None` iff
-    /// `candidates` is empty.
-    fn scan_best(&self, channel: ChannelId, candidates: &[BidderId]) -> Option<BidderId> {
-        let (&first, rest) = candidates.split_first()?;
-        let mut best = first;
-        for &c in rest {
-            if !self.ge(channel, best, c) {
-                best = c;
-            }
-        }
-        Some(best)
-    }
-
-    /// Finds the bidders holding the column maximum among `candidates`
-    /// (usually one; several only on a transformed-value tie), using the
-    /// per-channel point-tag index.
-    ///
-    /// After the `O(m)` tournament pass finds one maximal element
-    /// `best`, the tie set `{c : bid(c) ≥ bid(best)}` is collected by
-    /// probing `best`'s range tags against the prebuilt index — a
-    /// constant number of probes plus one mark per hit — instead of `m`
-    /// further masked membership tests. A probe hit is literally the
-    /// predicate `point(c) ∩ range(best) ≠ ∅` that [`Self::ge`]
-    /// evaluates, so the result equals [`Self::maxima_linear`] exactly;
-    /// the property suite asserts as much.
-    ///
-    /// Returns an empty vector for empty `candidates`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any id is out of range.
-    pub fn maxima_indexed(&self, channel: ChannelId, candidates: &[BidderId]) -> Vec<BidderId> {
-        let Some(best) = self.scan_best(channel, candidates) else { return Vec::new() };
-        let range = &self.submissions[best.0].borrow().bids()[channel.0].range;
-        let index = self.point_index(channel);
-        let mut hit = vec![false; self.submissions.len()];
-        for tag in range.iter() {
-            for &owner in index.owners(tag) {
-                hit[owner as usize] = true;
-            }
-        }
-        // Filter in candidate order so callers observe the same tie
-        // ordering as the linear reference.
-        candidates.iter().copied().filter(|&c| hit[c.0]).collect()
-    }
-
-    /// Reference implementation of [`Self::maxima_indexed`]: the
-    /// tournament pass followed by a second linear pass of masked
-    /// comparisons against the champion.
+    /// Reference winner set: one tournament pass of masked comparisons
+    /// finds a maximal candidate, a second linear pass collects every
+    /// candidate `≥` it. The production selection reads the same set
+    /// off the tie classes (the minimum-class candidates); the property
+    /// suite and the oracle's `maxima_variants` invariant hold the two
+    /// equal.
     ///
     /// Returns an empty vector for empty `candidates`.
     ///
@@ -281,7 +202,13 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
     ///
     /// Panics if any id is out of range.
     pub fn maxima_linear(&self, channel: ChannelId, candidates: &[BidderId]) -> Vec<BidderId> {
-        let Some(best) = self.scan_best(channel, candidates) else { return Vec::new() };
+        let Some((&first, rest)) = candidates.split_first() else { return Vec::new() };
+        let mut best = first;
+        for &c in rest {
+            if !self.ge(channel, best, c) {
+                best = c;
+            }
+        }
         candidates.iter().copied().filter(|&c| self.ge(channel, c, best)).collect()
     }
 }
@@ -317,8 +244,7 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> BidOracle for MaskedBidTable<S> {
         // Integer-only maxima via the precomputed tie classes: the
         // candidates in the lowest class are exactly the mutual-`≥` tie
         // set of the column maximum, the same set (in the same candidate
-        // order) as [`Self::maxima_indexed`] — asserted by the property
-        // suite — so the RNG draw sequence is unchanged.
+        // order) as [`Self::maxima_linear`].
         let classes = &self.classes[channel.0];
         let Some(best) = candidates.iter().map(|c| classes[c.0]).min() else {
             // Empty candidates break the trait contract; mirror the old
@@ -344,11 +270,34 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> BidOracle for MaskedBidTable<S> {
     }
 }
 
+/// The channel count every submission must share.
+fn channel_count<S: Borrow<AdvancedBidSubmission>>(submissions: &[S]) -> Result<usize, LppaError> {
+    let n_channels = submissions
+        .first()
+        .map(|s| s.borrow().n_channels())
+        .ok_or_else(|| LppaError::InvalidConfig { reason: "no submissions".into() })?;
+    for s in submissions {
+        if s.borrow().n_channels() != n_channels {
+            return Err(LppaError::ChannelCountMismatch {
+                submitted: s.borrow().n_channels(),
+                expected: n_channels,
+            });
+        }
+    }
+    Ok(n_channels)
+}
+
 /// Computes the per-channel tie classes of [`MaskedBidTable::classes`]
-/// from scratch: one stable masked-comparison sort per channel
-/// (channels rank in parallel), then a single adjacent-pair walk
-/// assigning class ids. Within a class the sort leaves bidder ids
-/// ascending — the canonical order incremental maintainers must match.
+/// under the exact masked `≥` (channels rank in parallel).
+///
+/// Each channel is ranked by insertion: bidder ids arrive in ascending
+/// order and each lands at the first resident it beats, found by binary
+/// search with one masked test per step. Under a consistent total
+/// preorder this is the unique stable descending order — ties keep
+/// ascending ids, the canonical order incremental maintainers must
+/// match. Under an inconsistent one (a tampered tag family) it still
+/// returns *some* order, where a comparison sort may panic on the
+/// inconsistent comparator.
 pub fn compute_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
     submissions: &[S],
 ) -> Vec<Vec<u32>> {
@@ -360,26 +309,66 @@ pub fn compute_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
                 .point
                 .in_range(&submissions[b].borrow().bids()[ch].range)
         };
-        let mut order: Vec<usize> = (0..submissions.len()).collect();
-        // Stable sort under the masked total preorder: descending bid,
-        // ties (mutual ≥) kept in ascending-id order.
-        order.sort_by(|&a, &b| match (ge(a, b), ge(b, a)) {
-            (true, false) => std::cmp::Ordering::Less,
-            (false, true) => std::cmp::Ordering::Greater,
-            _ => std::cmp::Ordering::Equal,
-        });
-        let mut classes = vec![0u32; submissions.len()];
-        let mut class = 0u32;
-        for (i, &id) in order.iter().enumerate() {
-            // Descending order makes `prev ≥ id` a given; the pair is
-            // tied iff `id ≥ prev` holds too.
-            if i > 0 && !ge(id, order[i - 1]) {
-                class += 1;
-            }
-            classes[id] = class;
+        let mut order: Vec<usize> = Vec::with_capacity(submissions.len());
+        for id in 0..submissions.len() {
+            order.insert(order.partition_point(|&o| ge(o, id)), id);
         }
-        classes
+        class_walk(&order, ge)
     })
+}
+
+/// Computes per-channel tie classes through `backend` probes
+/// (channels in parallel).
+///
+/// The descending order is not a pairwise ranking: a lossy backend's
+/// `ge` can be intransitive (a Bloom false positive asserts `a ≥ b`
+/// spuriously). Each bidder is instead ranked by its **dominance count**
+/// `#{b : ge(a, b)}`, stably, ties in index order. For an exact backend
+/// the count is strictly monotone in the bid (`v_a > v_b` implies `a`'s
+/// dominated set properly contains `b`'s), so the classes equal
+/// [`compute_classes`]'; for a lossy backend it is a deterministic total
+/// order that degrades gracefully with the false-positive rate.
+pub fn backend_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
+    backend: &Backend,
+    submissions: &[S],
+    n_channels: usize,
+) -> Vec<Vec<u32>> {
+    let channels: Vec<usize> = (0..n_channels).collect();
+    lppa_par::par_map(&channels, |&ch| {
+        let n = submissions.len();
+        let cell = |i: usize| &submissions[i].borrow().bids()[ch];
+        let points: Vec<BackendPoint> =
+            (0..n).map(|i| backend.compile_point(&cell(i).point)).collect();
+        let ranges: Vec<BackendRange> =
+            (0..n).map(|i| backend.compile_range(&cell(i).range)).collect();
+        let mut ge = vec![false; n * n];
+        let mut dominated = vec![0usize; n];
+        for a in 0..n {
+            for b in 0..n {
+                let hit = backend.probe(&points[a], &ranges[b]);
+                ge[a * n + b] = hit;
+                dominated[a] += usize::from(hit);
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&a| std::cmp::Reverse(dominated[a]));
+        class_walk(&order, |a, b| ge[a * n + b])
+    })
+}
+
+/// Assigns class ids along a descending `order`: an entry opens a new
+/// class unless it is `≥` its predecessor (the predecessor being `≥`
+/// it is given by the order).
+fn class_walk(order: &[usize], ge: impl Fn(usize, usize) -> bool) -> Vec<u32> {
+    let mut classes = vec![0u32; order.len()];
+    let mut class = 0u32;
+    for (i, &id) in order.iter().enumerate() {
+        if i > 0 && !ge(id, order[i - 1]) {
+            class += 1;
+        }
+        classes[id] = class;
+    }
+    classes
 }
 
 #[cfg(test)]
@@ -486,5 +475,47 @@ mod tests {
             Err(LppaError::ChannelCountMismatch { .. })
         ));
         assert!(MaskedBidTable::<AdvancedBidSubmission>::collect(vec![]).is_err());
+    }
+
+    #[test]
+    fn tampered_tag_families_rank_without_panicking() {
+        // A byte flipped in the back half of one point tag drops that
+        // prefix from the family, which can make the masked `≥`
+        // inconsistent (neither bid ≥ the other). Collect and ranking
+        // must still return, never panic.
+        use lppa_rng::Rng as _;
+        let config = LppaConfig::default();
+        let policy = ZeroReplacePolicy::never(config.bid_max());
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ttp = Ttp::new(1, config, &mut rng).unwrap();
+            let mut subs: Vec<AdvancedBidSubmission> = (0..25)
+                .map(|_| {
+                    let bid = rng.gen_range(0..=config.bid_max());
+                    AdvancedBidSubmission::build(
+                        &[bid],
+                        ttp.bidder_keys(),
+                        &config,
+                        &policy,
+                        &mut rng,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            let victim = rng.gen_range(0..subs.len());
+            let mut bids = subs[victim].bids().to_vec();
+            let mut tags: Vec<_> = bids[0].point.iter().copied().collect();
+            let t = rng.gen_range(0..tags.len());
+            let mut bytes = *tags[t].as_bytes();
+            bytes[rng.gen_range(8..16usize)] ^= rng.gen_range(1..=255u8);
+            tags[t] = lppa_crypto::tag::Tag::from_bytes(bytes);
+            bids[0].point = lppa_prefix::MaskedPoint::from_tags(tags).unwrap();
+            let positive = subs[victim].presented_positive().to_vec();
+            subs[victim] = AdvancedBidSubmission::from_parts(bids, positive).unwrap();
+
+            let table = MaskedBidTable::collect(subs).unwrap();
+            let ranking = &table.channel_rankings()[0];
+            assert_eq!(ranking.len(), 25, "seed {seed}");
+        }
     }
 }

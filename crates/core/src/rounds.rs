@@ -12,7 +12,7 @@ use lppa_rng::Rng;
 
 use crate::config::LppaConfig;
 use crate::error::LppaError;
-use crate::protocol::{run_private_auction_from_bids_with_model, AuctioneerModel};
+use crate::protocol::{build_submissions, run_private_auction_with_model, AuctioneerModel};
 use crate::pseudonym::PseudonymPool;
 use crate::ttp::Ttp;
 use crate::zero_replace::ZeroReplacePolicy;
@@ -84,8 +84,9 @@ impl RoundDriver {
     ///
     /// # Errors
     ///
-    /// As for [`crate::protocol::run_private_auction_from_bids`]; the
-    /// round counter only advances on success.
+    /// As for [`crate::protocol::build_submissions`] and
+    /// [`crate::protocol::run_private_auction_with_model`]; the round
+    /// counter only advances on success.
     pub fn run_round<R: Rng>(
         &mut self,
         bidders: &[(Location, Vec<u32>)],
@@ -108,10 +109,10 @@ impl RoundDriver {
             })
             .collect();
 
-        let result = run_private_auction_from_bids_with_model(
-            &wire_bidders,
+        let submissions = build_submissions(&wire_bidders, &ttp, policy, rng)?;
+        let result = run_private_auction_with_model(
+            &submissions,
             &ttp,
-            policy,
             AuctioneerModel::IterativeCharging,
             rng,
         )?;

@@ -10,8 +10,9 @@
 //!    masked prefixes are consistent with the sealed price (no bid
 //!    manipulation), and return the plaintext charge.
 //!
-//! Charging requests are accepted in batches so a periodically-online
-//! TTP can drain several auctions per connection (§V.C.2).
+//! Charging is a pure function of the request and the TTP's keys, so a
+//! periodically-online TTP can drain queued requests in any order and
+//! answer retransmitted duplicates identically (§V.C.2).
 
 use lppa_crypto::keys::{HmacKey, SealKey};
 use lppa_crypto::seal::SealedValue;
@@ -194,35 +195,6 @@ impl Ttp {
         Ok(ChargeDecision::Valid { raw_price: self.config.decode_offset(offset_value) })
     }
 
-    /// Batch interface: processes several requests in one TTP session.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first erroneous request, as the whole batch comes
-    /// from one auctioneer session.
-    pub fn open_charges(
-        &self,
-        requests: &[ChargeRequest],
-    ) -> Result<Vec<ChargeDecision>, LppaError> {
-        requests.iter().map(|r| self.open_charge(r)).collect()
-    }
-
-    /// Fault-tolerant batch interface: one verdict per request, in
-    /// request order, where a bad request poisons only its own slot.
-    ///
-    /// Charging is a pure function of the request and the TTP's keys, so
-    /// decisions are *idempotent* (a duplicated request yields the same
-    /// verdict) and *order-independent* (reordering a batch permutes the
-    /// verdicts identically). Both properties matter over an unreliable
-    /// auctioneer↔TTP link, where retransmissions duplicate and reorder
-    /// requests; the test suite pins them down.
-    pub fn open_charges_tolerant(
-        &self,
-        requests: &[ChargeRequest],
-    ) -> Vec<Result<ChargeDecision, LppaError>> {
-        requests.iter().map(|r| self.open_charge(r)).collect()
-    }
-
     /// Sealed-bid second-price (Vickrey) charging: validates the
     /// `winner` exactly like [`Self::open_charge`], but prices the win
     /// at the *critical losing bid* — the maximum true raw value among
@@ -366,79 +338,52 @@ mod tests {
         assert!(matches!(ttp.open_charge(&bad), Err(LppaError::ChannelCountMismatch { .. })));
     }
 
-    #[test]
-    fn batch_processes_in_order() {
-        let (ttp, mut rng) = setup();
-        let reqs = vec![
-            genuine_request(&ttp, ChannelId(0), 10, &mut rng),
-            genuine_request(&ttp, ChannelId(1), 0, &mut rng),
-            genuine_request(&ttp, ChannelId(2), 77, &mut rng),
-        ];
-        let decisions = ttp.open_charges(&reqs).unwrap();
-        assert_eq!(
-            decisions,
-            vec![
-                ChargeDecision::Valid { raw_price: 10 },
-                ChargeDecision::InvalidZero,
-                ChargeDecision::Valid { raw_price: 77 },
-            ]
-        );
-    }
-
-    #[test]
-    fn tolerant_batch_isolates_bad_requests() {
-        let (ttp, mut rng) = setup();
-        let good = genuine_request(&ttp, ChannelId(0), 12, &mut rng);
-        let unknown = ChargeRequest { channel: ChannelId(9), ..good.clone() };
-        let verdicts = ttp.open_charges_tolerant(&[good.clone(), unknown, good]);
-        assert_eq!(verdicts.len(), 3);
-        assert_eq!(verdicts[0], Ok(ChargeDecision::Valid { raw_price: 12 }));
-        assert!(matches!(verdicts[1], Err(LppaError::ChannelCountMismatch { .. })));
-        assert_eq!(verdicts[2], Ok(ChargeDecision::Valid { raw_price: 12 }));
-        // The strict batch interface still fails wholesale.
-        let bad = ChargeRequest {
-            channel: ChannelId(9),
-            ..genuine_request(&ttp, ChannelId(0), 1, &mut rng)
-        };
-        assert!(ttp.open_charges(&[bad]).is_err());
+    /// One verdict per request, each decided on its own.
+    fn open_each(ttp: &Ttp, requests: &[ChargeRequest]) -> Vec<Result<ChargeDecision, LppaError>> {
+        requests.iter().map(|r| ttp.open_charge(r)).collect()
     }
 
     #[test]
     fn charge_decisions_are_idempotent_under_duplication() {
         // A retransmitting auctioneer link may deliver the same request
-        // several times; every copy must draw the identical verdict.
+        // several times; every copy must draw the identical verdict —
+        // including a bad request, which poisons only its own copies.
         let (ttp, mut rng) = setup();
-        let reqs = vec![
+        let mut reqs = vec![
             genuine_request(&ttp, ChannelId(0), 10, &mut rng),
             genuine_request(&ttp, ChannelId(1), 0, &mut rng),
             genuine_request(&ttp, ChannelId(2), 77, &mut rng),
         ];
-        let baseline = ttp.open_charges_tolerant(&reqs);
+        reqs.push(ChargeRequest { channel: ChannelId(9), ..reqs[0].clone() });
+        let baseline = open_each(&ttp, &reqs);
+        assert_eq!(baseline[0], Ok(ChargeDecision::Valid { raw_price: 10 }));
+        assert_eq!(baseline[1], Ok(ChargeDecision::InvalidZero));
+        assert_eq!(baseline[2], Ok(ChargeDecision::Valid { raw_price: 77 }));
+        assert!(matches!(baseline[3], Err(LppaError::ChannelCountMismatch { .. })));
         // Duplicate every request three times, interleaved.
         let mut duplicated = Vec::new();
         for _ in 0..3 {
             duplicated.extend(reqs.iter().cloned());
         }
-        let verdicts = ttp.open_charges_tolerant(&duplicated);
-        for (i, v) in verdicts.iter().enumerate() {
+        for (i, v) in open_each(&ttp, &duplicated).iter().enumerate() {
             assert_eq!(*v, baseline[i % reqs.len()], "copy {i} diverged");
         }
     }
 
     #[test]
     fn charge_decisions_are_order_independent() {
-        // Reordering a batch must permute the verdicts and change nothing
-        // else — no decision may depend on its neighbours or position.
+        // Reordering the requests must permute the verdicts and change
+        // nothing else — no decision may depend on its neighbours or
+        // position.
         let (ttp, mut rng) = setup();
         let reqs: Vec<ChargeRequest> = (0..6)
             .map(|i| genuine_request(&ttp, ChannelId(i % 4), (i as u32) * 13 % 120, &mut rng))
             .collect();
-        let baseline = ttp.open_charges_tolerant(&reqs);
+        let baseline = open_each(&ttp, &reqs);
         for rotation in 1..reqs.len() {
             let mut rotated = reqs.clone();
             rotated.rotate_left(rotation);
-            let verdicts = ttp.open_charges_tolerant(&rotated);
-            for (i, v) in verdicts.iter().enumerate() {
+            for (i, v) in open_each(&ttp, &rotated).iter().enumerate() {
                 assert_eq!(*v, baseline[(i + rotation) % reqs.len()], "rotation {rotation}");
             }
         }

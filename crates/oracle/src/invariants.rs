@@ -72,7 +72,7 @@ pub fn registry() -> Vec<Invariant> {
         },
         Invariant {
             name: "maxima_variants",
-            summary: "indexed and linear masked maxima agree on every channel",
+            summary: "the minimum-class winner set equals the linear masked-scan maxima",
             check: maxima_variants,
         },
         Invariant {
@@ -342,13 +342,17 @@ fn maxima_variants(run: &ScenarioRun) -> Result<(), String> {
             if candidates.is_empty() {
                 continue;
             }
-            let mut indexed = table.maxima_indexed(channel, &candidates);
-            let mut linear = table.maxima_linear(channel, &candidates);
-            indexed.sort_unstable_by_key(|b| b.0);
-            linear.sort_unstable_by_key(|b| b.0);
-            if indexed != linear {
+            // The production selection draws among the minimum-class
+            // candidates; the reference collects every candidate `≥` a
+            // tournament champion with masked tests.
+            let classes = &table.classes()[ch];
+            let best = candidates.iter().map(|c| classes[c.0]).min();
+            let by_class: Vec<BidderId> =
+                candidates.iter().copied().filter(|c| Some(classes[c.0]) == best).collect();
+            let linear = table.maxima_linear(channel, &candidates);
+            if by_class != linear {
                 return Err(format!(
-                    "channel {ch}: maxima_indexed {indexed:?} != maxima_linear {linear:?} over {candidates:?}"
+                    "channel {ch}: class winner set {by_class:?} != maxima_linear {linear:?} over {candidates:?}"
                 ));
             }
         }
@@ -745,15 +749,15 @@ fn backend_outcome_equivalence(run: &ScenarioRun) -> Result<(), String> {
     )
 }
 
-/// The pool-reuse grid: `LPPA_BACKEND ∈ {hmac, bloom, ledger}` × arena
-/// on/off must land on the same fingerprints.
+/// The pool-reuse grid: `LPPA_BACKEND ∈ {hmac, bloom, ledger}` × pooled
+/// or fresh builds must land on the same fingerprints.
 ///
-/// "Arena on" is modelled explicitly (no env mutation): every
-/// submission is rebuilt through **one** shared [`MaskScratch`] — warmed
-/// by reclaiming a throwaway build first, so later builds genuinely
-/// check recycled sets out of the pool — and each backend then settles
-/// those pool-built submissions. The recorded `ScenarioRun` results are
-/// the arena-off side (fresh allocations everywhere). Checksums pin the
+/// The pooled side rebuilds every submission through **one** shared
+/// [`MaskScratch`] — warmed by reclaiming a throwaway build first, so
+/// later builds genuinely check recycled sets out of the pool — and each
+/// backend then settles those pool-built submissions. The recorded
+/// `ScenarioRun` results are the fresh side (fresh allocations
+/// everywhere). Checksums pin the
 /// builds, grant/assignment sets pin every backend's settlement; any
 /// state leaking from one bidder's build to the next, or from one
 /// backend's round to the next, shows up as a diff.

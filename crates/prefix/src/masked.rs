@@ -66,8 +66,8 @@ fn mask_all_into(key: &HmacKey, prefixes: &[Prefix], tags: &mut TagSet) {
 /// Tag sets are unordered and every consumer in the workspace is
 /// iteration-order independent (membership probes, XOR fingerprints,
 /// sorted candidate lists), so a pooled set of any prior capacity is
-/// observationally identical to a fresh one — the arena on/off oracle
-/// invariant holds the whole pipeline to that.
+/// observationally identical to a fresh one — the pooled-vs-fresh
+/// oracle invariant holds the whole pipeline to that.
 #[derive(Debug, Default)]
 pub struct MaskScratch {
     sets: Vec<TagSet>,
@@ -251,14 +251,20 @@ fn tag_set_fingerprint(tags: &TagSet) -> u64 {
 /// — zero-copy frame decoders use it to verify transport checksums
 /// against borrowed `&[u8]` views before allocating anything.
 ///
+/// Both 8-byte halves of the tag feed the mix, so damage anywhere in a
+/// tag moves the digest.
+///
 /// # Panics
 ///
-/// Panics if `tag_bytes` is shorter than 8 bytes; wire tags are always
+/// Panics if `tag_bytes` is shorter than 16 bytes; wire tags are always
 /// [`TAG_LEN`] (16) bytes.
 pub fn raw_tag_mix(tag_bytes: &[u8]) -> u64 {
-    let mut word = [0u8; 8];
-    word.copy_from_slice(&tag_bytes[..8]);
-    split_mix(u64::from_le_bytes(word))
+    let half = |at: usize| {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&tag_bytes[at..at + 8]);
+        u64::from_le_bytes(word)
+    };
+    split_mix(split_mix(half(0)) ^ half(8))
 }
 
 /// SplitMix64 avalanche, used for tag-set fingerprints.
@@ -373,7 +379,7 @@ impl MaskedRange {
     /// loop adds one uniformly random 16-byte tag per iteration, and a
     /// 128-bit collision with a genuine or earlier pad tag (the only
     /// event that would cost an extra draw) has probability ≈ 2⁻¹²⁸ —
-    /// below any reachable state, and caught by the arena on/off
+    /// below any reachable state, and caught by the incremental-vs-rebuild
     /// fingerprint oracle if it ever occurred.
     ///
     /// # Errors

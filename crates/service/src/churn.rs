@@ -34,7 +34,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use lppa::arena::{arena_enabled, MaskScratch, RoundScratch};
+use lppa::arena::{MaskScratch, RoundScratch};
 use lppa::protocol::SuSubmission;
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
@@ -236,11 +236,6 @@ struct ChurnArea {
     /// `Some` in incremental mode; rebuild mode keeps no resident
     /// masked state.
     engine: Option<IncrementalAuctioneer>,
-    /// Whether this area runs on pooled scratch memory (the
-    /// `LPPA_ARENA` knob, or the explicit [`run_churn_with`] flag).
-    /// Outcome bits are identical either way; only allocator traffic
-    /// differs.
-    arena: bool,
     /// The area's persistent round scratch: tag-set pool, allocation
     /// buffers, class vectors and the conflict-matrix backing store.
     scratch: RoundScratch,
@@ -282,7 +277,7 @@ fn round_fingerprint(n_live: usize, result: &PrivateAuctionResult) -> u64 {
 }
 
 impl ChurnArea {
-    fn new(plan: &AreaPlan, spec: &ChurnSpec, mode: ChurnMode, arena: bool) -> Self {
+    fn new(plan: &AreaPlan, spec: &ChurnSpec, mode: ChurnMode) -> Self {
         Self {
             area: plan.area,
             ttp: plan.ttp.clone(),
@@ -293,7 +288,6 @@ impl ChurnArea {
                 }
                 ChurnMode::Rebuild => None,
             },
-            arena,
             scratch: RoundScratch::new(),
             members: Vec::new(),
             alloc: SlotAlloc::default(),
@@ -313,11 +307,7 @@ impl ChurnArea {
         let slot = self.alloc.take();
         let member = Member { slot, seed, location, bids };
         if let Some(engine) = &mut self.engine {
-            let sub = if self.arena {
-                member.build_in(&self.ttp, &self.policy, &mut self.scratch.mask)?
-            } else {
-                member.build(&self.ttp, &self.policy)?
-            };
+            let sub = member.build_in(&self.ttp, &self.policy, &mut self.scratch.mask)?;
             let got = engine.join(sub);
             debug_assert_eq!(got, slot, "engine and allocator must agree on slot ids");
         }
@@ -344,13 +334,10 @@ impl ChurnArea {
             let member = self.members.swap_remove(i);
             self.alloc.release(member.slot);
             if let Some(engine) = &mut self.engine {
-                let retired = engine.leave(member.slot);
-                if self.arena {
-                    // A leaver's tag sets re-arm the pool for the
-                    // round's joiners.
-                    retired.reclaim(&mut self.scratch.mask);
-                    self.scratch.charge_clear_slot(member.slot);
-                }
+                // A leaver's tag sets re-arm the pool for the round's
+                // joiners.
+                engine.leave(member.slot).reclaim(&mut self.scratch.mask);
+                self.scratch.charge_clear_slot(member.slot);
             }
             self.churn_events += 1;
         }
@@ -363,28 +350,21 @@ impl ChurnArea {
             let bids = draw_bids(&mut self.churn_rng, k, config.bid_max());
             self.members[i].bids = bids;
             if let Some(engine) = &mut self.engine {
-                // Same member seed + same location ⇒ the re-masked
-                // location part is bit-identical, so the engine takes
-                // the bid-only fast path (no conflict re-probing). Under
-                // the arena that equality is exploited further: the
-                // resident masked location is moved back in unchanged
-                // and only the bids are re-masked, skipping the
-                // location's HMACs entirely.
+                // Same member seed + same location ⇒ a re-mask would
+                // reproduce the location bit for bit, so the resident
+                // masked location is moved back in unchanged and only
+                // the bids are re-masked: no location HMACs and no
+                // conflict re-probing.
                 let slot = self.members[i].slot;
-                if self.arena {
-                    let resident = engine.take_for_revise(slot);
-                    let sub = self.members[i].rebuild_bids_in(
-                        resident,
-                        &self.ttp,
-                        &self.policy,
-                        &mut self.scratch.mask,
-                    )?;
-                    engine.put_revised(slot, sub);
-                    self.scratch.charge_clear_slot(slot);
-                } else {
-                    let sub = self.members[i].build(&self.ttp, &self.policy)?;
-                    engine.revise_bids(slot, sub);
-                }
+                let resident = engine.take_for_revise(slot);
+                let sub = self.members[i].rebuild_bids_in(
+                    resident,
+                    &self.ttp,
+                    &self.policy,
+                    &mut self.scratch.mask,
+                )?;
+                engine.put_revised(slot, sub);
+                self.scratch.charge_clear_slot(slot);
             }
             self.churn_events += 1;
         }
@@ -399,16 +379,10 @@ impl ChurnArea {
             let slot = self.alloc.take();
             let member = Member { slot, seed, location, bids };
             if let Some(engine) = &mut self.engine {
-                let sub = if self.arena {
-                    member.build_in(&self.ttp, &self.policy, &mut self.scratch.mask)?
-                } else {
-                    member.build(&self.ttp, &self.policy)?
-                };
+                let sub = member.build_in(&self.ttp, &self.policy, &mut self.scratch.mask)?;
                 let got = engine.join(sub);
                 debug_assert_eq!(got, slot, "engine and allocator must agree on slot ids");
-                if self.arena {
-                    self.scratch.charge_clear_slot(slot);
-                }
+                self.scratch.charge_clear_slot(slot);
             }
             self.members.push(member);
             self.churn_events += 1;
@@ -424,13 +398,7 @@ impl ChurnArea {
         let mut rng = StdRng::seed_from_u64(round_seed);
 
         let result = match &self.engine {
-            Some(engine) => {
-                if self.arena {
-                    engine.run_round_in(&self.ttp, &mut rng, &mut self.scratch)?
-                } else {
-                    engine.run_round(&self.ttp, &mut rng)?
-                }
-            }
+            Some(engine) => engine.run_round_in(&self.ttp, &mut rng, &mut self.scratch)?,
             None => {
                 // Rebuild baseline: re-mask every live member, ascending
                 // slot order — the order the engine compacts to.
@@ -450,11 +418,9 @@ impl ChurnArea {
         fold(&mut self.fingerprint, round_fingerprint(self.members.len(), &result));
         self.assignments += result.outcome.assignments().len();
         self.revenue += result.outcome.revenue();
-        if self.arena {
-            // Hand the round's n×n matrix back to the pool for the next
-            // round's conflict graph.
-            self.scratch.recycle_matrix(result.conflicts.into_matrix());
-        }
+        // Hand the round's n×n matrix back to the pool for the next
+        // round's conflict graph.
+        self.scratch.recycle_matrix(result.conflicts.into_matrix());
         Ok(())
     }
 }
@@ -489,25 +455,6 @@ pub fn run_churn(
     n_shards: usize,
     threads: usize,
 ) -> Result<ChurnReport, LppaError> {
-    run_churn_with(spec, mode, n_shards, threads, arena_enabled())
-}
-
-/// [`run_churn`] with an explicit arena flag instead of the
-/// `LPPA_ARENA` environment default: `arena = true` runs every area on
-/// pooled [`RoundScratch`] memory, `false` on fresh allocations. The
-/// report (and its fingerprint) is identical either way — the
-/// `arena_on_off_identical` oracle invariant holds it to that.
-///
-/// # Errors
-///
-/// As for [`run_churn`].
-pub fn run_churn_with(
-    spec: &ChurnSpec,
-    mode: ChurnMode,
-    n_shards: usize,
-    threads: usize,
-    arena: bool,
-) -> Result<ChurnReport, LppaError> {
     let n_shards = n_shards.max(1);
     let plans = spec.workload.plans()?;
     let mut shards: Vec<ChurnShard> = (0..n_shards).map(|_| ChurnShard::default()).collect();
@@ -518,7 +465,7 @@ pub fn run_churn_with(
     let mut admission: Vec<StdRng> =
         plans.iter().map(|p| StdRng::seed_from_u64(p.seeds.admission)).collect();
     for plan in &plans {
-        shards[shard_of(plan.area, n_shards)].areas.push(ChurnArea::new(plan, spec, mode, arena));
+        shards[shard_of(plan.area, n_shards)].areas.push(ChurnArea::new(plan, spec, mode));
     }
     let mut initial_bidders = 0usize;
     for bidder in spec.workload.bidders() {
@@ -630,19 +577,6 @@ mod tests {
         for (shards, threads) in [(1, 4), (4, 1), (4, 4), (3, 2)] {
             let run = run_churn(&spec, ChurnMode::Incremental, shards, threads).unwrap();
             assert_eq!(run.fingerprint, reference.fingerprint, "shards={shards} threads={threads}");
-        }
-    }
-
-    #[test]
-    fn arena_on_and_off_settle_identically() {
-        let spec = spec(0x0a1e, 3, 24, 4);
-        for mode in [ChurnMode::Incremental, ChurnMode::Rebuild] {
-            let pooled = run_churn_with(&spec, mode, 2, 2, true).unwrap();
-            let fresh = run_churn_with(&spec, mode, 2, 2, false).unwrap();
-            assert!(pooled.errors.is_empty(), "{:?}", pooled.errors);
-            assert_eq!(pooled.fingerprint, fresh.fingerprint, "{mode:?}");
-            assert_eq!(pooled.total_revenue, fresh.total_revenue, "{mode:?}");
-            assert_eq!(pooled.total_assignments, fresh.total_assignments, "{mode:?}");
         }
     }
 

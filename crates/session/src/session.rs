@@ -27,17 +27,17 @@
 //! byte-identically, and the journal of an interrupted session can be
 //! [resumed](AuctionSession::resume) to the identical outcome.
 
-use lppa::backend::{charge_request_for, BackendBidTable};
-use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
-use lppa::protocol::{charge_requests, validate_submission, AuctioneerModel, SuSubmission};
+use lppa::backend::RoundLedger;
+use lppa::protocol::{
+    charge_requests, conflict_graph, validate_submission, AuctioneerModel, SuSubmission,
+};
 use lppa::psd::table::MaskedBidTable;
-use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
+use lppa::ttp::{ChargeDecision, Ttp};
 use lppa::LppaError;
 use lppa_auction::allocation::{greedy_allocate, Grant};
 use lppa_auction::bidder::BidderId;
 use lppa_auction::conflict::ConflictGraph;
 use lppa_auction::outcome::{Assignment, AuctionOutcome};
-use lppa_crypto::commit::CommitmentLedger;
 use lppa_prefix::backend::BackendKind;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{RngCore, SeedableRng};
@@ -76,9 +76,8 @@ pub struct SessionConfig {
     /// Which [`MaskingBackend`](lppa_prefix::backend::MaskingBackend)
     /// answers the allocation's masked comparisons. The default reads
     /// the `LPPA_BACKEND` environment knob (falling back to `hmac`).
-    /// `ledger` additionally audits the round through a
-    /// [`CommitmentLedger`] whose settle-time root lands in
-    /// [`SessionOutcome::ledger_root`].
+    /// `ledger` additionally audits the round through a [`RoundLedger`]
+    /// whose settle-time root lands in [`SessionOutcome::ledger_root`].
     pub backend: BackendKind,
 }
 
@@ -499,61 +498,30 @@ pub fn finish_round<B: ChargeBackend>(
         });
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Allocate, tick: start_tick });
-    let locations: Vec<LocationSubmission> =
-        accepted_submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
+    let conflicts = conflict_graph(accepted_submissions);
     let bids: Vec<_> = accepted_submissions.iter().map(|s| s.bids.clone()).collect();
+    let table = MaskedBidTable::collect_with(bids, config.backend, config.model)?;
+    let compact_grants =
+        greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(auction_seed));
+    let requests = charge_requests(&table, &compact_grants)?;
+    let grants: Vec<Grant> = compact_grants
+        .iter()
+        .map(|g| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g })
+        .collect();
     // The ledger backend's audit chain is built from journal-recoverable
     // data only (accepted set, grants, charge verdicts), so a resumed
     // session replays to the byte-identical root.
-    let mut ledger = match config.backend {
-        BackendKind::Ledger => Some(CommitmentLedger::new()),
-        _ => None,
-    };
+    let mut ledger = RoundLedger::for_backend(config.backend);
     if let Some(ledger) = ledger.as_mut() {
         for (&original, submission) in accepted.iter().zip(accepted_submissions) {
-            let mut payload = [0u8; 12];
-            payload[..4].copy_from_slice(&(original as u32).to_le_bytes());
-            payload[4..].copy_from_slice(&submission.checksum().to_le_bytes());
-            ledger.append("submission", &payload);
+            ledger.submission(original, submission.checksum());
         }
     }
-    let mut alloc_rng = StdRng::seed_from_u64(auction_seed);
-    let (compact_grants, requests): (Vec<Grant>, Vec<ChargeRequest>) = match config.backend {
-        BackendKind::Hmac => {
-            let table = match config.model {
-                AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-                AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-            };
-            let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-            let requests = charge_requests(&table, &grants)?;
-            (grants, requests)
-        }
-        kind => {
-            // Probe the allocation through the selected backend. The
-            // exact backends replicate the hmac classes and RNG draws,
-            // so grants stay bit-identical; bloom may diverge within
-            // its configured false-positive budget.
-            let table = BackendBidTable::collect(kind, bids, config.model)?;
-            let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-            let requests = grants
-                .iter()
-                .map(|g| charge_request_for(table.submissions(), g))
-                .collect::<Result<_, _>>()?;
-            (grants, requests)
-        }
-    };
-    let to_original = |g: &Grant| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g };
-    for grant in &compact_grants {
-        journal.append(JournalEntry::GrantIssued {
-            bidder: accepted[grant.bidder.0],
-            channel: grant.channel.0,
-        });
+    for grant in &grants {
+        journal
+            .append(JournalEntry::GrantIssued { bidder: grant.bidder.0, channel: grant.channel.0 });
         if let Some(ledger) = ledger.as_mut() {
-            let mut payload = [0u8; 8];
-            payload[..4].copy_from_slice(&(accepted[grant.bidder.0] as u32).to_le_bytes());
-            payload[4..].copy_from_slice(&(grant.channel.0 as u32).to_le_bytes());
-            ledger.append("grant", &payload);
+            ledger.grant(grant);
         }
     }
 
@@ -573,9 +541,8 @@ pub fn finish_round<B: ChargeBackend>(
     let mut invalid_grants = Vec::new();
     let mut provisional = Vec::new();
     let mut deferred = Vec::new();
-    for (slot, grant) in compact_grants.iter().enumerate() {
-        let original = to_original(grant);
-        match &link.decisions()[slot] {
+    for (&original, decision) in grants.iter().zip(link.decisions()) {
+        match decision {
             Some(Ok(ChargeDecision::Valid { raw_price })) => {
                 journal.append(JournalEntry::ChargeDecided {
                     bidder: original.bidder.0,
@@ -619,29 +586,13 @@ pub fn finish_round<B: ChargeBackend>(
         journal.append(JournalEntry::ChargesDeferred { bidders: deferred, tick });
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Settle, tick });
-    if let Some(ledger) = ledger.as_mut() {
-        for (slot, grant) in compact_grants.iter().enumerate() {
-            let original = to_original(grant);
-            let mut payload = [0u8; 13];
-            payload[..4].copy_from_slice(&(original.bidder.0 as u32).to_le_bytes());
-            payload[4..8].copy_from_slice(&(original.channel.0 as u32).to_le_bytes());
-            match &link.decisions()[slot] {
-                Some(Ok(ChargeDecision::Valid { raw_price })) => {
-                    payload[8] = 1;
-                    payload[9..].copy_from_slice(&raw_price.to_le_bytes());
-                }
-                Some(Ok(ChargeDecision::InvalidZero)) => payload[8] = 0,
-                Some(Err(_)) => payload[8] = 2,
-                None => payload[8] = 3,
-            }
-            ledger.append("charge", &payload);
-        }
-    }
     // The audited backend replays its chain before the round commits.
-    let ledger_root = match ledger.as_ref() {
-        Some(ledger) => {
-            ledger.verify().map_err(|e| LppaError::LedgerTampered { detail: e.to_string() })?;
-            Some(ledger.root())
+    let ledger_root = match ledger {
+        Some(mut ledger) => {
+            for (grant, decision) in grants.iter().zip(link.decisions()) {
+                ledger.charge(grant, decision.as_ref());
+            }
+            Some(ledger.settle()?.root())
         }
         None => None,
     };
@@ -651,7 +602,7 @@ pub fn finish_round<B: ChargeBackend>(
         outcome: AuctionOutcome::from_assignments(assignments, n_bidders),
         invalid_grants,
         provisional,
-        grants: compact_grants.iter().map(to_original).collect(),
+        grants,
         conflicts,
         accepted,
         quarantine,

@@ -21,7 +21,7 @@ use lppa_rng::{Rng, SeedableRng};
 use lppa_session::frame::{decode_hello, decode_sub_ack, decode_tick_done};
 use lppa_session::{
     decode_frame, decode_frame_exact, encode_frame, encode_submission_frame, FrameError, FrameKind,
-    FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    Journal, JournalEntry, WireCollectEngine, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 
 fn sample_submission() -> SuSubmission {
@@ -145,5 +145,38 @@ fn random_soup_never_panics() {
         let _ = decode_frame_exact(&bytes);
         let _ = decode_frame(&bytes);
         let _ = decode_submission(&bytes);
+    }
+}
+
+/// Damage confined to the back half (bytes 8–15) of one point tag keeps
+/// the frame decodable and the submission well-shaped, so only the
+/// transport checksum stands between it and acceptance: every such copy
+/// must be discarded as corrupt.
+#[test]
+fn back_half_tag_damage_is_discarded_as_corrupt() {
+    let submission = sample_submission();
+    let frame = encode_submission_frame(0, 1, &submission);
+    let config = LppaConfig::default();
+    for (t, tag) in submission.bids.bids()[0].point.iter().enumerate() {
+        let at = frame
+            .windows(16)
+            .position(|w| w == tag.as_bytes())
+            .expect("every point tag travels verbatim in the frame");
+        for offset in 8..16 {
+            let mut damaged = frame.clone();
+            damaged[at + offset] ^= 0x5a;
+            let mut engine = WireCollectEngine::new(1, 2, config);
+            let mut journal = Journal::new();
+            let ack = engine.ingest(0, &damaged, &mut journal);
+            assert_eq!(ack, None, "tag {t} offset {offset}: damaged copy was settled");
+            assert!(
+                matches!(
+                    journal.entries(),
+                    [JournalEntry::CorruptDiscarded { bidder: 0, tick: 0 }]
+                ),
+                "tag {t} offset {offset}: {:?}",
+                journal.entries()
+            );
+        }
     }
 }

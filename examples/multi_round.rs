@@ -13,7 +13,9 @@
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::run_private_auction_from_bids;
+use lppa_suite::lppa::protocol::{
+    build_submissions, run_private_auction_with_model, AuctioneerModel,
+};
 use lppa_suite::lppa::pseudonym::PseudonymPool;
 use lppa_suite::lppa::ttp::Ttp;
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
@@ -50,7 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .collect();
             let ttp = Ttp::new(K, config, &mut rng)?;
             let policy = ZeroReplacePolicy::geometric(0.3, 0.75, config.bid_max());
-            let result = run_private_auction_from_bids(&raw, &ttp, &policy, &mut rng)?;
+            let submissions = build_submissions(&raw, &ttp, &policy, &mut rng)?;
+            let model = AuctioneerModel::default();
+            let result = run_private_auction_with_model(&submissions, &ttp, model, &mut rng)?;
             history.record_outcome(&result.outcome);
         }
 

@@ -12,7 +12,7 @@
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
 use lppa_suite::lppa::protocol::{
-    run_private_auction_from_bids_with_model, AuctioneerModel, SuSubmission,
+    build_submissions, run_private_auction_with_model, AuctioneerModel, SuSubmission,
 };
 use lppa_suite::lppa::psd::table::MaskedBidTable;
 use lppa_suite::lppa::ttp::Ttp;
@@ -74,10 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect();
 
         // What the auction still delivers.
-        let result = run_private_auction_from_bids_with_model(
-            &raw,
+        let performance = build_submissions(&raw, &ttp, &policy, &mut rng)?;
+        let result = run_private_auction_with_model(
+            &performance,
             &ttp,
-            &policy,
             AuctioneerModel::IterativeCharging,
             &mut rng,
         )?;

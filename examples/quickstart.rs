@@ -9,7 +9,9 @@
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::{run_private_auction, SuSubmission};
+use lppa_suite::lppa::protocol::{
+    build_submissions, run_private_auction_with_model, AuctioneerModel,
+};
 use lppa_suite::lppa::ttp::Ttp;
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
 use lppa_suite::lppa::LppaConfig;
@@ -35,10 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("dave", Location::new(40, 95), vec![0, 80, 10]),
         ("erin", Location::new(70, 70), vec![25, 0, 60]),
     ];
-    let submissions: Vec<SuSubmission> = users
-        .iter()
-        .map(|(_, loc, bids)| SuSubmission::build(*loc, bids, &ttp, &policy, &mut rng))
-        .collect::<Result<_, _>>()?;
+    let bidders: Vec<(Location, Vec<u32>)> =
+        users.iter().map(|(_, loc, bids)| (*loc, bids.clone())).collect();
+    let submissions = build_submissions(&bidders, &ttp, &policy, &mut rng)?;
     println!(
         "each submission ships {} bytes of masked material; no plaintext leaves a bidder",
         submissions[0].wire_len()
@@ -46,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Auctioneer + TTP: allocation over masked comparisons, then
     //    batch charging.
-    let result = run_private_auction(&submissions, &ttp, &mut rng)?;
+    let result =
+        run_private_auction_with_model(&submissions, &ttp, AuctioneerModel::default(), &mut rng)?;
 
     println!("\nconflict pairs seen by the auctioneer (from masked locations only):");
     for i in 0..users.len() {

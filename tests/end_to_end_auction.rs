@@ -3,7 +3,9 @@
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::{run_private_auction_from_bids_with_model, AuctioneerModel};
+use lppa_suite::lppa::protocol::{
+    build_submissions, run_private_auction_with_model, AuctioneerModel,
+};
 use lppa_suite::lppa::ttp::Ttp;
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
 use lppa_suite::lppa::LppaConfig;
@@ -39,7 +41,8 @@ fn run_private(
     let mut rng = StdRng::seed_from_u64(seed);
     let ttp = Ttp::new(fx.k, fx.config, &mut rng).unwrap();
     let policy = ZeroReplacePolicy::geometric(replace, 0.75, fx.config.bid_max());
-    run_private_auction_from_bids_with_model(&raw, &ttp, &policy, model, &mut rng).unwrap()
+    let submissions = build_submissions(&raw, &ttp, &policy, &mut rng).unwrap();
+    run_private_auction_with_model(&submissions, &ttp, model, &mut rng).unwrap()
 }
 
 #[test]

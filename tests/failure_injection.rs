@@ -4,7 +4,7 @@
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::{run_private_auction, SuSubmission};
+use lppa_suite::lppa::protocol::{run_private_auction_with_model, AuctioneerModel, SuSubmission};
 use lppa_suite::lppa::psd::table::MaskedBidTable;
 use lppa_suite::lppa::ttp::{ChargeRequest, Ttp};
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
@@ -63,7 +63,8 @@ fn ragged_submission_sets_are_rejected() {
     let policy = ZeroReplacePolicy::never(config.bid_max());
     let a = SuSubmission::build(Location::new(1, 1), &[1, 2], &ttp2, &policy, &mut rng).unwrap();
     let b = SuSubmission::build(Location::new(2, 2), &[1, 2, 3], &ttp3, &policy, &mut rng).unwrap();
-    let err = run_private_auction(&[a, b], &ttp2, &mut rng).unwrap_err();
+    let model = AuctioneerModel::default();
+    let err = run_private_auction_with_model(&[a, b], &ttp2, model, &mut rng).unwrap_err();
     assert!(matches!(err, LppaError::ChannelCountMismatch { .. }));
 }
 
@@ -103,7 +104,8 @@ fn cross_auction_replay_is_rejected() {
 #[test]
 fn empty_auction_is_an_error_not_a_panic() {
     let (ttp, _, mut rng) = setup(1);
-    let err = run_private_auction(&[], &ttp, &mut rng).unwrap_err();
+    let model = AuctioneerModel::default();
+    let err = run_private_auction_with_model(&[], &ttp, model, &mut rng).unwrap_err();
     assert!(matches!(err, LppaError::InvalidConfig { .. }));
 }
 

@@ -7,7 +7,9 @@ use std::collections::HashMap;
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::run_private_auction_from_bids;
+use lppa_suite::lppa::protocol::{
+    build_submissions, run_private_auction_with_model, AuctioneerModel,
+};
 use lppa_suite::lppa::pseudonym::PseudonymPool;
 use lppa_suite::lppa::ttp::Ttp;
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
@@ -55,7 +57,9 @@ fn run_rounds(mix: bool, seed: u64) -> MultiRound {
             .collect();
         let ttp = Ttp::new(K, config, &mut rng).unwrap();
         let policy = ZeroReplacePolicy::geometric(0.3, 0.75, config.bid_max());
-        let result = run_private_auction_from_bids(&raw, &ttp, &policy, &mut rng).unwrap();
+        let submissions = build_submissions(&raw, &ttp, &policy, &mut rng).unwrap();
+        let model = AuctioneerModel::default();
+        let result = run_private_auction_with_model(&submissions, &ttp, model, &mut rng).unwrap();
         for a in result.outcome.assignments() {
             history.record(a.bidder, a.channel);
             contributors.entry(a.bidder).or_default().push(pool.true_of(a.bidder));
