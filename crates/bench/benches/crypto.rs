@@ -42,10 +42,13 @@ fn bench_tag(b: &mut Bench) {
 
 fn bench_tag_batch(b: &mut Bench) {
     let key = HmacKey::from_bytes([9u8; 32]);
-    // Batch sizes from the w=13 hot path: a point family is w+1 = 14
-    // prefixes, a padded range cover max(2, 2w−2) = 24, and a full
-    // per-location submission under one key 2·(14+1+24+1) = 80.
-    for count in [14usize, 24, 80] {
+    // Batch sizes the default config masks: a bid point family is
+    // transformed_bits() + 1 = 11 tags, a location point family
+    // loc_bits + 1 = 8, and a genuine bid cover of [v, 543] about 5
+    // (5.3 on average). Then the w=13 shapes: a point family is
+    // w+1 = 14 prefixes, a padded range cover max(2, 2w−2) = 24, and a
+    // full per-location submission under one key 2·(14+1+24+1) = 80.
+    for count in [5usize, 8, 11, 14, 24, 80] {
         let messages: Vec<[u8; 9]> = (0..count as u64)
             .map(|i| {
                 let mut m = [0u8; 9];

@@ -143,15 +143,17 @@ impl HmacMidstate {
         HmacSha256 { inner: self.inner.clone(), outer: self.outer.clone() }
     }
 
-    /// MACs a batch of independent messages through the multi-lane
-    /// SHA-256 kernel, delivering `(index, tag)` pairs to `sink`.
+    /// MACs a batch of independent messages at the process-wide lane
+    /// width ([`lanes::lane_width`]), delivering `(index, tag)` pairs to
+    /// `sink`.
     ///
     /// A short message (≤ [`MAX_BATCH_MSG`] bytes) costs exactly two
     /// compressions from the cached midstate — one inner block carrying
-    /// the padded message, one outer block carrying the inner digest —
-    /// and both are batched lane-wise across the messages, so N lanes
-    /// amortize one message-schedule walk over N MACs. Longer messages
-    /// take the scalar [`Self::compute`] path. Tags are bit-identical to
+    /// the padded message, one outer block carrying the inner digest. At
+    /// width 8 both are batched lane-wise across the messages, so eight
+    /// MACs share one AVX2 walk of the rounds; at width 1 each runs on
+    /// its own (SHA-NI or portable). Longer messages take the scalar
+    /// [`Self::compute`] path. Tags are bit-identical to
     /// per-message [`Self::compute`] calls; delivery order is
     /// unspecified (lanes flush as they fill), which is why the sink
     /// receives the message index.
@@ -191,7 +193,13 @@ impl HmacMidstate {
         let outer_mid = self.outer.state_words();
 
         // Lane staging buffers live on the stack; `filled` lanes are in
-        // use. Flushing at `width` keeps every kernel pass full.
+        // use. Every width stages up to eight messages per flush: at width
+        // 8 that is one full AVX2 pass, and at width 1 it lets the staged
+        // blocks' byte stores retire before the kernel reads them back as
+        // 16-byte words. Flushing each message on its own stalls every
+        // such load on a failed store-to-load forward, which serializes
+        // consecutive tags (about 155 instead of 100 ns per tag on a SHA-NI
+        // Xeon).
         let mut idx = [0usize; MAX_LANES];
         let mut blocks = [[0u8; BLOCK_LEN]; MAX_LANES];
         let mut filled = 0usize;
@@ -214,7 +222,7 @@ impl HmacMidstate {
             idx[filled] = i;
             filled += 1;
 
-            if filled == width {
+            if filled == MAX_LANES {
                 flush_lanes(width, &inner_mid, &outer_mid, &idx[..filled], &blocks, &mut sink);
                 filled = 0;
             }
@@ -233,7 +241,7 @@ impl HmacMidstate {
     }
 }
 
-/// Runs the two batched compressions for `idx.len()` staged lanes and
+/// Runs the two compressions for the `idx.len()` staged messages and
 /// delivers the digests: inner blocks from the ipad midstate, then outer
 /// blocks (`inner digest ‖ padding`) from the opad midstate.
 fn flush_lanes<F: FnMut(usize, [u8; DIGEST_LEN])>(
@@ -245,45 +253,45 @@ fn flush_lanes<F: FnMut(usize, [u8; DIGEST_LEN])>(
     sink: &mut F,
 ) {
     let n = idx.len();
-    // A partial flush is padded with dummy lanes up to the next kernel
-    // width (not past `width`): one full N-lane pass over n live + pad
-    // dummy lanes is cheaper than splitting the remainder into narrower
-    // passes and scalar stragglers. Dummy outputs are simply discarded,
-    // so the live tags stay bit-identical.
-    let run = lanes::SUPPORTED_WIDTHS
-        .into_iter()
-        .find(|&w| w >= n)
-        .unwrap_or(MAX_LANES)
-        .min(width.max(n));
-    let mut states = [[0u32; 8]; MAX_LANES];
-    for state in &mut states[..run] {
-        *state = *inner_mid;
-    }
+    // At width 8 a partial flush of n ≥ 2 messages is padded with dummy
+    // lanes to one full pass: on the AVX2 hosts without SHA-NI that
+    // default to width 8, one 8-lane pass costs less than n portable
+    // compressions. Dummy outputs are simply discarded, so the live tags
+    // stay bit-identical. At width 1 no dummy runs.
+    let run = if width == MAX_LANES && n > 1 { MAX_LANES } else { n };
+    let mut states = [*inner_mid; MAX_LANES];
     lanes::compress_batch_with_width(width, &mut states[..run], &blocks[..run]);
-
-    // The outer message is always digest-sized: 32 bytes, terminator,
-    // and the (64 + 32) * 8 = 768 bit length — one block exactly.
     let mut outer_blocks = [[0u8; BLOCK_LEN]; MAX_LANES];
     for (block, state) in outer_blocks[..run].iter_mut().zip(&states[..run]) {
-        for (chunk, word) in block[..DIGEST_LEN].chunks_exact_mut(4).zip(state.iter()) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        block[DIGEST_LEN] = 0x80;
-        let bit_len = ((BLOCK_LEN + DIGEST_LEN) as u64) * 8;
-        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        *block = outer_block(state);
     }
-    for state in &mut states[..run] {
-        *state = *outer_mid;
-    }
+    states[..run].fill(*outer_mid);
     lanes::compress_batch_with_width(width, &mut states[..run], &outer_blocks[..run]);
 
-    for (lane, &message_index) in idx.iter().enumerate() {
-        let mut tag = [0u8; DIGEST_LEN];
-        for (chunk, word) in tag.chunks_exact_mut(4).zip(states[lane].iter()) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        sink(message_index, tag);
+    for (state, &message_index) in states.iter().zip(idx) {
+        sink(message_index, digest_bytes(state));
     }
+}
+
+/// The outer block for an inner digest held as state words: the 32-byte
+/// digest, the terminator and the (64 + 32) * 8 = 768 bit length — one
+/// block exactly.
+fn outer_block(inner: &[u32; 8]) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    block[..DIGEST_LEN].copy_from_slice(&digest_bytes(inner));
+    block[DIGEST_LEN] = 0x80;
+    let bit_len = ((BLOCK_LEN + DIGEST_LEN) as u64) * 8;
+    block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+    block
+}
+
+/// The big-endian digest bytes of a final state.
+fn digest_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut digest = [0u8; DIGEST_LEN];
+    for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    digest
 }
 
 /// One-shot HMAC-SHA256.

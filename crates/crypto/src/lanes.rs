@@ -1,50 +1,59 @@
-//! Multi-lane (multi-buffer) SHA-256 compression.
+//! SHA-256 compression kernels and the lane-width dispatch.
 //!
 //! The LPPA hot path hashes thousands of *independent* short messages —
-//! one HMAC tag per prefix — so the classic multi-buffer trick applies:
-//! interleave N compressions lane-wise and pay for one message-schedule
-//! walk per N blocks. Three kernels are provided:
+//! one HMAC tag per prefix. Three compression kernels serve it:
 //!
-//! * **1-lane** — the scalar [`crate::sha256`] compression function;
-//! * **4-lane / 8-lane portable** — a const-generic interleaving where
-//!   every round operates on `[u32; N]` lane vectors. The loops are
-//!   written element-wise with no cross-lane dependencies, which LLVM
-//!   autovectorizes to SSE2 on every `x86_64` target (SSE2 is baseline);
-//! * **8-lane AVX2** — the same round structure hand-written with
-//!   `core::arch::x86_64` intrinsics (`__m256i` holds one word of all
-//!   eight lanes), selected at runtime via `is_x86_feature_detected!` and
-//!   falling back to the portable kernel everywhere else.
+//! * **portable scalar** — [`crate::sha256::compress_portable`], the
+//!   FIPS 180-4 rounds in plain Rust. It runs everywhere and is the
+//!   reference every other kernel is tested against;
+//! * **SHA-NI** — one block on the x86 SHA extensions (`sha256rnds2`
+//!   runs two rounds, `sha256msg1`/`sha256msg2` the message schedule).
+//!   [`crate::sha256::compress`] takes it whenever the CPU has `sha`,
+//!   `ssse3` and `sse4.1`, so every SHA-256 in the workspace — tags,
+//!   seals, TTP opens, key schedules, the commitment ledger — runs on it
+//!   without asking;
+//! * **AVX2 8-lane** — the multi-buffer trick: one `__m256i` holds the
+//!   same working variable of eight independent compressions, so eight
+//!   blocks share one walk of the round structure.
 //!
-//! All kernels are bit-identical to N independent scalar compressions —
-//! property-tested per width and cross-checked continuously by the
-//! `batch_scalar_tags` oracle invariant — so lane width is a pure
-//! throughput knob with no observable effect on any protocol output.
+//! Every kernel is bit-identical to the portable one — property-tested
+//! and cross-checked by the `batch_scalar_tags` oracle invariant — so the
+//! kernel choice is a pure throughput matter with no observable effect on
+//! any protocol output.
 //!
 //! # Lane-width selection
 //!
-//! [`lane_width`] picks 8 when AVX2 is available and 4 otherwise, and can
-//! be pinned with the `LPPA_SHA_LANES` environment variable (accepted
-//! values: `1`, `4`, `8`; read once per process). CI diffs pinned-seed
-//! runs across all three widths to enforce the bit-identity contract.
+//! A batch runs at one of two widths ([`SUPPORTED_WIDTHS`]):
+//!
+//! * width 1 sends each block through [`crate::sha256::compress`]
+//!   (SHA-NI, else portable);
+//! * width 8 sends each full group of eight through the AVX2 kernel and
+//!   the rest through [`crate::sha256::compress`]; without AVX2 every
+//!   block takes that per-block path.
+//!
+//! [`lane_width`] picks 1 when the CPU has SHA-NI (one SHA-NI block
+//! costs less than an eighth of an AVX2 pass), else 8 when it has AVX2,
+//! else 1. The `LPPA_SHA_LANES` environment variable (`1` or `8`; read
+//! once per process) pins it, and CI diffs pinned-seed runs across both
+//! widths to enforce the bit-identity contract.
 
-use crate::sha256::{compress, BLOCK_LEN, K};
+use crate::sha256::{compress, BLOCK_LEN};
+use std::sync::OnceLock;
 
-/// Environment variable pinning the lane width (`1`, `4` or `8`).
+/// Environment variable pinning the lane width (`1` or `8`).
 pub const LANES_ENV: &str = "LPPA_SHA_LANES";
 
-/// Lane widths with a dedicated kernel, narrowest first.
-pub const SUPPORTED_WIDTHS: [usize; 3] = [1, 4, 8];
+/// Lane widths with a dedicated dispatch, narrowest first.
+pub const SUPPORTED_WIDTHS: [usize; 2] = [1, 8];
 
 /// The widest kernel; batch callers sizing stack buffers can use this.
 pub const MAX_LANES: usize = 8;
 
 /// The lane width the process-wide kernel dispatch uses.
 ///
-/// Honours [`LANES_ENV`] when set to a supported width; otherwise picks
-/// the widest kernel the CPU runs well (8 with AVX2, 4 without). Cached
-/// after the first call.
+/// Honours [`LANES_ENV`] when set to a supported width; otherwise 1 with
+/// SHA-NI, else 8 with AVX2, else 1. Cached after the first call.
 pub fn lane_width() -> usize {
-    use std::sync::OnceLock;
     static WIDTH: OnceLock<usize> = OnceLock::new();
     *WIDTH.get_or_init(|| {
         if let Ok(raw) = std::env::var(LANES_ENV) {
@@ -54,12 +63,17 @@ pub fn lane_width() -> usize {
                 }
             }
         }
-        if avx2_available() {
-            8
-        } else {
-            4
-        }
+        default_width()
     })
+}
+
+/// The width [`lane_width`] picks when [`LANES_ENV`] does not pin one.
+fn default_width() -> usize {
+    if !sha_ni_available() && avx2_available() {
+        8
+    } else {
+        1
+    }
 }
 
 /// Whether the AVX2 8-lane kernel is usable on this CPU.
@@ -67,6 +81,24 @@ fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the SHA-NI kernel is usable on this CPU: it needs `sha` plus
+/// the `ssse3` byte shuffle and the `sse4.1` blend. Detected once.
+pub(crate) fn sha_ni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static SHA_NI: OnceLock<bool> = OnceLock::new();
+        *SHA_NI.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("sha")
+                && std::arch::is_x86_feature_detected!("ssse3")
+                && std::arch::is_x86_feature_detected!("sse4.1")
+        })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -124,119 +156,143 @@ pub fn compress_batch_with_width(
     assert_eq!(states.len(), blocks.len(), "one block per state");
     assert!(SUPPORTED_WIDTHS.contains(&width), "unsupported lane width {width}");
 
-    let n = states.len();
-    let mut i = 0;
-    if width == 8 {
-        let use_avx2 = avx2_available();
-        while n - i >= 8 {
-            let s: &mut [[u32; 8]; 8] = (&mut states[i..i + 8]).try_into().unwrap();
-            let b: &[[u8; BLOCK_LEN]; 8] = (&blocks[i..i + 8]).try_into().unwrap();
-            if use_avx2 {
-                #[cfg(target_arch = "x86_64")]
-                avx2::compress8(s, b);
-                #[cfg(not(target_arch = "x86_64"))]
-                compress_wide::<8>(s, b);
-            } else {
-                compress_wide::<8>(s, b);
-            }
-            i += 8;
+    // At width 8 with AVX2, full groups of eight take the 8-lane kernel
+    // and only the remainder is left for the per-block loop below.
+    #[cfg(target_arch = "x86_64")]
+    let (states, blocks) = if width == 8 && avx2_available() {
+        let full = states.len() - states.len() % 8;
+        let (head, tail) = states.split_at_mut(full);
+        for (s, b) in head.chunks_exact_mut(8).zip(blocks.chunks_exact(8)) {
+            avx2::compress8(
+                s.try_into().expect("chunks_exact_mut(8) yields 8 states"),
+                b.try_into().expect("chunks_exact(8) yields 8 blocks"),
+            );
         }
-    }
-    if width >= 4 {
-        while n - i >= 4 {
-            let s: &mut [[u32; 8]; 4] = (&mut states[i..i + 4]).try_into().unwrap();
-            let b: &[[u8; BLOCK_LEN]; 4] = (&blocks[i..i + 4]).try_into().unwrap();
-            compress_wide::<4>(s, b);
-            i += 4;
-        }
-    }
-    while i < n {
-        compress(&mut states[i], &blocks[i]);
-        i += 1;
+        (tail, &blocks[full..])
+    } else {
+        (states, blocks)
+    };
+    for (state, block) in states.iter_mut().zip(blocks) {
+        compress(state, block);
     }
 }
 
-/// Portable N-lane compression: the scalar rounds with every variable
-/// widened to a `[u32; N]` lane vector.
+/// Single-block SHA-NI kernel: `sha256rnds2` runs two rounds on the
+/// state held as an ABEF / CDGH register pair, and
+/// `sha256msg1`/`sha256msg2` extend the message schedule four words at a
+/// time.
 ///
-/// Each statement in the inner loops is element-wise over the lanes with
-/// no cross-lane dependency, exactly the shape LLVM's SLP/loop
-/// vectorizers turn into SSE2 (or wider, under `-C target-cpu`) code.
-#[allow(clippy::needless_range_loop)] // lane loops index several `w` rows at fixed offsets
-fn compress_wide<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; BLOCK_LEN]; N]) {
-    // Message schedule, lane-interleaved: w[t][l] is word t of lane l.
-    let mut w = [[0u32; N]; 64];
-    for t in 0..16 {
-        for l in 0..N {
-            let chunk = &blocks[l][4 * t..4 * t + 4];
-            w[t][l] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// Its `unsafe` is confined to `core::arch` calls that are valid whenever
+/// the CPU has `sha`, `ssse3` and `sse4.1`, which the safe [`compress`]
+/// wrapper checks through the cached [`super::sha_ni_available`].
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod sha_ni {
+    use crate::sha256::{BLOCK_LEN, K};
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// Safe entry point: folds one block into `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if SHA-NI is not available (callers gate on detection).
+    #[inline]
+    pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        assert!(super::sha_ni_available(), "SHA-NI kernel on a CPU without SHA-NI");
+        // SAFETY: the assertion above proves the `sha`, `ssse3` and
+        // `sse4.1` target features are supported by the running CPU, the
+        // only requirement of the feature-gated function; its loads and
+        // stores stay inside `state` and `block`.
+        unsafe { compress_impl(state, block) }
+    }
+
+    /// Four rounds: adds round constants `4g..4g+4` to the schedule
+    /// words in `$w`, then runs `sha256rnds2` on the low and the high
+    /// pair. A macro (not a fn) so the intrinsics inline into the
+    /// feature-gated body.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $g:expr) => {{
+            let k = _mm_loadu_si128(K[4 * $g..].as_ptr() as *const __m128i);
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        }};
+    }
+
+    /// The next four schedule words from the last sixteen, passed oldest
+    /// group first: `msg1` adds σ0 of the oldest two groups, the
+    /// `alignr` supplies `w[t-7]`, and `msg2` adds σ1 of the newest.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            )
+        };
+    }
+
+    /// # Safety
+    ///
+    /// The running CPU must support `sha`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    unsafe fn compress_impl(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+        // Byte-swaps each 32-bit word: the block is big-endian.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let ptr = block.as_ptr() as *const __m128i;
+        let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(ptr), bswap);
+        let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(ptr.add(1)), bswap);
+        let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(ptr.add(2)), bswap);
+        let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(ptr.add(3)), bswap);
+
+        // Regroup a..h (two registers, a and e lowest) into the ABEF and
+        // CDGH registers `sha256rnds2` works on.
+        let dcba = _mm_loadu_si128(state.as_ptr() as *const __m128i);
+        let hgfe = _mm_loadu_si128(state.as_ptr().add(4) as *const __m128i);
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+        let (abef0, cdgh0) = (abef, cdgh);
+
+        rounds4!(abef, cdgh, w0, 0);
+        rounds4!(abef, cdgh, w1, 1);
+        rounds4!(abef, cdgh, w2, 2);
+        rounds4!(abef, cdgh, w3, 3);
+        for g in [4, 8, 12] {
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, g);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, g + 1);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, g + 2);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, g + 3);
         }
-    }
-    for t in 16..64 {
-        for l in 0..N {
-            let x = w[t - 15][l];
-            let y = w[t - 2][l];
-            let s0 = x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3);
-            let s1 = y.rotate_right(17) ^ y.rotate_right(19) ^ (y >> 10);
-            w[t][l] = w[t - 16][l].wrapping_add(s0).wrapping_add(w[t - 7][l]).wrapping_add(s1);
-        }
-    }
 
-    let mut a = [0u32; N];
-    let mut b = [0u32; N];
-    let mut c = [0u32; N];
-    let mut d = [0u32; N];
-    let mut e = [0u32; N];
-    let mut f = [0u32; N];
-    let mut g = [0u32; N];
-    let mut h = [0u32; N];
-    for l in 0..N {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
-    }
-
-    for t in 0..64 {
-        for l in 0..N {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ ((!e[l]) & g[l]);
-            let t1 =
-                h[l].wrapping_add(s1).wrapping_add(ch).wrapping_add(K[t]).wrapping_add(w[t][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l].wrapping_add(t1);
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = t1.wrapping_add(t2);
-        }
-    }
-
-    for l in 0..N {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-        states[l][5] = states[l][5].wrapping_add(f[l]);
-        states[l][6] = states[l][6].wrapping_add(g[l]);
-        states[l][7] = states[l][7].wrapping_add(h[l]);
+        // Feed-forward, then undo the regrouping.
+        let feba = _mm_shuffle_epi32(_mm_add_epi32(abef, abef0), 0x1b);
+        let dchg = _mm_shuffle_epi32(_mm_add_epi32(cdgh, cdgh0), 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        _mm_storeu_si128(state.as_mut_ptr() as *mut __m128i, dcba);
+        _mm_storeu_si128(state.as_mut_ptr().add(4) as *mut __m128i, hgfe);
     }
 }
 
 /// 8-lane AVX2 kernel: one `__m256i` register holds the same working
 /// variable for all eight lanes.
 ///
-/// The only `unsafe` in the workspace lives here; it is confined to
-/// `core::arch` intrinsic calls that are valid whenever AVX2 is present,
-/// which the safe [`compress8`] wrapper checks at runtime.
+/// Its `unsafe` is confined to `core::arch` intrinsic calls that are
+/// valid whenever AVX2 is present, which the safe [`compress8`] wrapper
+/// checks at runtime.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{BLOCK_LEN, K};
+    use crate::sha256::{BLOCK_LEN, K};
     use core::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_and_si256, _mm256_andnot_si256, _mm256_or_si256,
         _mm256_set1_epi32, _mm256_set_epi32, _mm256_slli_epi32, _mm256_srli_epi32,
@@ -374,7 +430,7 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha256::H0;
+    use crate::sha256::{compress_portable, H0};
 
     /// Deterministic pseudo-random block/state material (no RNG dep here;
     /// a simple LCG is plenty for kernel equivalence checks).
@@ -407,15 +463,21 @@ mod tests {
         (states, blocks)
     }
 
+    /// The reference: one portable compression per pair.
+    fn portable(states: &[[u32; 8]], blocks: &[[u8; BLOCK_LEN]]) -> Vec<[u32; 8]> {
+        let mut out = states.to_vec();
+        for (s, b) in out.iter_mut().zip(blocks) {
+            compress_portable(s, b);
+        }
+        out
+    }
+
     #[test]
     fn every_width_matches_scalar_compress() {
         for seed in 1..=8u64 {
             for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 23] {
                 let (states0, blocks) = splat(seed * 1000 + n as u64, n);
-                let mut want = states0.clone();
-                for (s, b) in want.iter_mut().zip(&blocks) {
-                    compress(s, b);
-                }
+                let want = portable(&states0, &blocks);
                 for width in SUPPORTED_WIDTHS {
                     let mut got = states0.clone();
                     compress_batch_with_width(width, &mut got, &blocks);
@@ -428,10 +490,7 @@ mod tests {
     #[test]
     fn default_width_matches_scalar() {
         let (states0, blocks) = splat(42, 13);
-        let mut want = states0.clone();
-        for (s, b) in want.iter_mut().zip(&blocks) {
-            compress(s, b);
-        }
+        let want = portable(&states0, &blocks);
         let mut got = states0;
         compress_batch(&mut got, &blocks);
         assert_eq!(got, want);
@@ -440,17 +499,45 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernel_matches_portable() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
+        if !avx2_available() {
             return; // nothing to compare on this machine
         }
         for seed in 1..=16u64 {
             let (states0, blocks) = splat(seed, 8);
-            let mut portable: [[u32; 8]; 8] = states0.clone().try_into().unwrap();
-            let mut simd = portable;
-            let blocks: [[u8; BLOCK_LEN]; 8] = blocks.try_into().unwrap();
-            compress_wide::<8>(&mut portable, &blocks);
-            avx2::compress8(&mut simd, &blocks);
-            assert_eq!(simd, portable, "seed={seed}");
+            let want = portable(&states0, &blocks);
+            let mut simd: [[u32; 8]; 8] = states0.try_into().unwrap();
+            avx2::compress8(&mut simd, &blocks.try_into().unwrap());
+            assert_eq!(simd.to_vec(), want, "seed={seed}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_kernel_matches_portable() {
+        if !sha_ni_available() {
+            return; // nothing to compare on this machine
+        }
+        let (mut states, mut blocks) = splat(7, 10_000);
+        // Saturated and zero words, where a carry or shuffle slip shows.
+        states.extend([[0; 8], [u32::MAX; 8], H0]);
+        blocks.extend([[0xff; BLOCK_LEN], [0; BLOCK_LEN], [0x80; BLOCK_LEN]]);
+        for (i, (state, block)) in states.iter().zip(&blocks).enumerate() {
+            let mut want = *state;
+            compress_portable(&mut want, block);
+            let mut got = *state;
+            sha_ni::compress(&mut got, block);
+            assert_eq!(got, want, "pair {i}");
+        }
+    }
+
+    #[test]
+    fn sha_ni_hosts_default_to_width_1() {
+        if !sha_ni_available() {
+            return;
+        }
+        assert_eq!(default_width(), 1);
+        if std::env::var_os(LANES_ENV).is_none() {
+            assert_eq!(lane_width(), 1);
         }
     }
 

@@ -32,14 +32,16 @@
 //!
 //! These implementations favour clarity and are more than fast enough for
 //! the auction workloads in this repository (an entire 129-channel,
-//! 400-bidder submission round masks on the order of 10^5 prefixes). They
-//! are **not** hardened against side channels beyond constant-time tag
-//! comparison and must not be lifted into unrelated production systems.
+//! 400-bidder submission round masks about 8.5·10^5 genuine prefix tags).
+//! They are **not** hardened against side channels beyond constant-time
+//! tag comparison and must not be lifted into unrelated production
+//! systems.
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// AVX2 multi-lane SHA-256 kernel in [`lanes`], whose `core::arch`
-// intrinsic calls carry a scoped `#[allow(unsafe_code)]` plus a safety
-// argument. Everything else in the crate remains unsafe-free.
+// `deny` rather than `forbid`: the sanctioned exceptions are the two
+// `core::arch` modules in [`lanes`] — the SHA-NI single-block kernel and
+// the AVX2 8-lane kernel — whose intrinsic calls carry a scoped
+// `#[allow(unsafe_code)]` plus a safety argument. Everything else in the
+// crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,9 +1,11 @@
 //! A from-scratch implementation of the SHA-256 hash function (FIPS 180-4).
 //!
 //! The LPPA protocol masks every prefix with a keyed hash; this module
-//! provides the underlying compression function. The implementation is a
-//! straightforward, allocation-free translation of the specification and is
-//! validated against the official NIST test vectors in the unit tests.
+//! provides the underlying compression function. The portable
+//! implementation ([`compress_portable`]) is a straightforward,
+//! allocation-free translation of the specification, validated against the
+//! official NIST test vectors in the unit tests; on CPUs with SHA-NI the
+//! hasher runs the bit-identical kernel in [`crate::lanes`] instead.
 
 /// Size in bytes of a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -217,9 +219,26 @@ impl Sha256 {
 
 /// The SHA-256 compression function: folds one 64-byte block into `state`.
 ///
-/// This is the single-lane primitive; [`crate::lanes`] interleaves the same
-/// round structure across several independent blocks.
+/// Every SHA-256 in the crate goes through here. It runs the SHA-NI
+/// kernel of [`crate::lanes`] when the CPU has it and
+/// [`compress_portable`] otherwise; the two are bit-identical.
+#[inline]
 pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::lanes::sha_ni_available() {
+        crate::lanes::sha_ni::compress(state, block);
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The portable SHA-256 compression function (FIPS 180-4 §6.2.2): folds
+/// one 64-byte block into `state` in plain Rust.
+///
+/// This is the reference every kernel in [`crate::lanes`] (SHA-NI, AVX2
+/// 8-lane) is tested against, and the path [`compress`] takes on CPUs
+/// without SHA-NI.
+pub fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

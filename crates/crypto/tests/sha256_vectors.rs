@@ -1,13 +1,14 @@
 //! Long-message SHA-256 known-answer tests (NIST CAVP / RFC 6234 /
-//! FIPS 180-4 examples), driven through both the scalar hasher and the
-//! multi-lane kernel at every supported lane width.
+//! FIPS 180-4 examples), driven through the hasher (SHA-NI where the CPU
+//! has it), the portable reference compression, and the lane dispatch at
+//! every supported lane width.
 //!
 //! The lane-kernel runs use *distinct* per-lane messages so that any
 //! cross-lane contamination (a schedule word or working variable leaking
 //! between lanes) flips at least one digest.
 
 use lppa_crypto::lanes::{compress_batch_with_width, SUPPORTED_WIDTHS};
-use lppa_crypto::sha256::{sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
+use lppa_crypto::sha256::{compress_portable, sha256, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// FIPS 180-4 initial hash value for SHA-256 (fractional parts of the
 /// square roots of the first eight primes).
@@ -68,21 +69,32 @@ fn lane_digests(width: usize, messages: &[Vec<u8>]) -> Vec<[u8; DIGEST_LEN]> {
         let blocks: Vec<[u8; BLOCK_LEN]> = per_lane.iter().map(|b| b[row]).collect();
         compress_batch_with_width(width, &mut states, &blocks);
     }
-    states
-        .iter()
-        .map(|state| {
-            let mut digest = [0u8; DIGEST_LEN];
-            for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
-                chunk.copy_from_slice(&word.to_be_bytes());
-            }
-            digest
-        })
-        .collect()
+    states.iter().map(to_digest).collect()
 }
 
-/// Runs one known-answer vector through the scalar hasher and through
-/// every lane width with distinct sibling messages in the other lanes.
+/// The portable reference: every padded block of `msg` folded through
+/// [`compress_portable`], independent of the CPU's kernels.
+fn portable_digest(msg: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut state = H0;
+    for block in pad_blocks(msg) {
+        compress_portable(&mut state, &block);
+    }
+    to_digest(&state)
+}
+
+fn to_digest(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut digest = [0u8; DIGEST_LEN];
+    for (chunk, word) in digest.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    digest
+}
+
+/// Runs one known-answer vector through the portable reference, the
+/// hasher and every lane width with distinct sibling messages in the
+/// other lanes.
 fn check_vector(msg: &[u8], expected_hex: &str) {
+    assert_eq!(hex(&portable_digest(msg)), expected_hex, "portable reference");
     assert_eq!(hex(&sha256(msg)), expected_hex, "scalar one-shot");
 
     // Incremental, with an uneven split, to exercise buffered blocks.
@@ -107,7 +119,7 @@ fn check_vector(msg: &[u8], expected_hex: &str) {
         let digests = lane_digests(width, &messages);
         assert_eq!(hex(&digests[0]), expected_hex, "width={width} lane 0");
         for (lane, (digest, message)) in digests.iter().zip(&messages).enumerate() {
-            assert_eq!(*digest, sha256(message), "width={width} lane {lane}");
+            assert_eq!(*digest, portable_digest(message), "width={width} lane {lane}");
         }
     }
 }
@@ -131,12 +143,14 @@ fn rfc6234_test3_million_a() {
 }
 
 /// CAVP-style short boundary messages: every length around the padding
-/// boundaries (55/56/63/64/119/120), scalar vs every lane width.
+/// boundaries (55/56/63/64/119/120), portable reference vs the hasher and
+/// every lane width.
 #[test]
 fn padding_boundary_lengths_agree_across_widths() {
     for len in [0usize, 1, 54, 55, 56, 63, 64, 65, 119, 120, 128] {
         let msg: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
-        let expected = sha256(&msg);
+        let expected = portable_digest(&msg);
+        assert_eq!(sha256(&msg), expected, "len={len} hasher");
         for width in SUPPORTED_WIDTHS {
             let messages = vec![msg.clone(); width];
             for (lane, digest) in lane_digests(width, &messages).iter().enumerate() {
