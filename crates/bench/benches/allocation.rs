@@ -71,7 +71,8 @@ fn bench_rank_channel(b: &mut Bench) {
 }
 
 fn bench_conflict_graph(b: &mut Bench) {
-    for n in [100usize, 500] {
+    // 1,000 bidders is the fleet workload's area.
+    for n in [100usize, 500, 1000] {
         let (_, _, _, locations) = build_masked_fixture(n, 1, 5);
         b.bench(&format!("allocation/masked_conflict_graph_n{n}"), || {
             build_conflict_graph(&locations);

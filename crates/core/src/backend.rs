@@ -170,7 +170,7 @@ pub fn run_private_auction_with_backend<R: Rng>(
     rng: &mut R,
 ) -> Result<BackendAuctionResult, LppaError> {
     let conflicts = conflict_graph(submissions);
-    let bids: Vec<AdvancedBidSubmission> = submissions.iter().map(|s| s.bids.clone()).collect();
+    let bids = submissions.iter().map(|s| &s.bids).collect();
     let table = MaskedBidTable::collect_with(bids, kind, model)?;
     let traces = greedy_allocate_traced(&table, &conflicts, rng);
     let grants: Vec<Grant> = traces.iter().map(|t| t.grant).collect();

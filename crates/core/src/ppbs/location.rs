@@ -11,9 +11,12 @@
 //! (clamped to the domain): with integer coordinates, membership in that
 //! closed range is exactly the paper's strict `|Δ| < 2λ` test.
 
+use std::borrow::Borrow;
+
 use lppa_auction::bidder::Location;
 use lppa_auction::conflict::ConflictGraph;
 use lppa_crypto::keys::HmacKey;
+use lppa_crypto::tag::Tag;
 use lppa_prefix::{FrozenTagIndex, MaskScratch, MaskedPoint, MaskedRange};
 use lppa_rng::Rng;
 
@@ -256,62 +259,78 @@ impl LocationSubmission {
 /// Builds the full conflict graph from all bidders' masked submissions —
 /// what the curious auctioneer actually computes.
 ///
-/// Implemented with an inverted tag index instead of the naive pairwise
-/// loop (see [`build_conflict_graph_pairwise`]): every bidder's x-axis
-/// range tags go into a [`FrozenTagIndex`], each bidder's x-axis point tags
-/// are probed against it, and only the resulting candidate pairs — those
-/// whose x-sets actually intersect — are confirmed on the y axis. The
-/// pairwise loop spends `O(n² · w)` hash probes; the index spends
-/// `O(n · w)` plus one y-test per x-conflicting pair, which for sparse
-/// interference graphs is close to linear in `n`.
+/// An index join on both axes. Every bidder's x-axis and y-axis point
+/// families are frozen into one [`FrozenTagIndex`] each, and each
+/// bidder `j` probes both with its range covers. The x probes mark, in
+/// a stamp array, every earlier bidder `i < j` whose x point lies in
+/// `j`'s x range; the y probes then emit `(i, j)` for every earlier
+/// bidder whose y point lies in `j`'s y range and that carries `j`'s
+/// stamp. That is exactly [`LocationSubmission::conflicts_with`]
+/// (`point(i) ∩ range(j) ≠ ∅` on both axes) for each pair `i < j`, with
+/// no per-pair set probe: the cost is two `O(n · w)` index builds,
+/// `O(n · w)` probes, and one read per owner-list entry hit.
 ///
-/// The probing phase is split across worker threads (`lppa_par`); the
-/// edge set is reassembled in bidder order, so the result is identical
-/// for every `LPPA_THREADS` value — and identical to the pairwise
-/// reference, since a probe hit *is* the x-axis half of
-/// [`LocationSubmission::conflicts_with`].
-pub fn build_conflict_graph(submissions: &[LocationSubmission]) -> ConflictGraph {
+/// The point families are the indexed side because they carry no
+/// padding: a `w`-bit domain has at most `2^(w+1) − 1` distinct point
+/// tags however many bidders there are, so each index's row map stays
+/// small enough for L1. The covers' random padding tags only cost a
+/// probe miss each.
+///
+/// Each pair is emitted at most once even when several of `j`'s tags
+/// reach the same bidder (a tampered family can make a point and a
+/// cover share more than one tag): the first y hit clears the stamp.
+///
+/// Generic over how the caller holds the submissions, so batch drivers
+/// can pass references into their own submission lists instead of
+/// copying locations. The probing phase is split across worker threads
+/// (`lppa_par`) and the edge set is reassembled in bidder order, so the
+/// result is identical for every `LPPA_THREADS` value.
+pub fn build_conflict_graph<L>(submissions: &[L]) -> ConflictGraph
+where
+    L: Borrow<LocationSubmission> + Sync,
+{
     let n = submissions.len();
     let mut graph = ConflictGraph::disconnected(n);
     if n < 2 {
         return graph;
     }
 
-    // Index every bidder's x-axis range cover. The dense build freezes
-    // straight into the flat-CSR form: three allocations total instead
-    // of one potential SmallVec spill per shared tag, and packed
-    // owner rows for the probe loop below. Probe results are
-    // byte-identical to the incremental TagIndex (pinned by the prefix
-    // crate's property suite).
-    let tags_per_range = submissions[0].range_x.len();
-    let index = FrozenTagIndex::freeze(n * tags_per_range, || {
-        submissions
-            .iter()
-            .enumerate()
-            .flat_map(|(j, s)| s.range_x.iter().map(move |t| (t, j as u32)))
-    });
+    // The freeze walks the submissions in bidder order, so every owner
+    // row lists bidders in ascending order.
+    let index_axis = |point: fn(&LocationSubmission) -> &MaskedPoint| {
+        let entries = submissions.iter().map(|s| point(s.borrow()).len()).sum();
+        FrozenTagIndex::freeze(
+            entries,
+            submissions
+                .iter()
+                .enumerate()
+                .flat_map(|(i, s)| point(s.borrow()).iter().map(move |t| (t, i as u32))),
+        )
+    };
+    let x_points = index_axis(LocationSubmission::point_x);
+    let y_points = index_axis(LocationSubmission::point_y);
 
-    // Probe every bidder's x-axis point family and confirm candidates on
-    // the y axis. A candidate pair is reported at most once per probe
-    // pass: a point family is a nested prefix chain and a genuine cover
-    // is a set of disjoint prefixes, so they share at most one tag
-    // (random padding tags collide only with negligible probability, and
-    // `add_conflict` is idempotent regardless).
     let chunk_size = n.div_ceil(lppa_par::thread_count() * 4).max(1);
     let edge_lists = lppa_par::par_chunks(submissions, chunk_size, |chunk_idx, chunk| {
         let base = chunk_idx * chunk_size;
+        // stamp[i] == j + 1 iff bidder i's x point lies in bidder j's x
+        // range and no y hit of j's has consumed the mark yet.
+        let mut stamp = vec![0u32; n];
         let mut edges: Vec<(usize, usize)> = Vec::new();
         for (offset, s) in chunk.iter().enumerate() {
-            let i = base + offset;
-            for tag in s.point_x.iter() {
-                for &owner in index.owners(tag) {
-                    let j = owner as usize;
-                    // Only the i < j direction, exactly like the
-                    // pairwise reference; the probe hit already proves
-                    // `point_x(i) ∩ range_x(j) ≠ ∅`, so only the y axis
-                    // remains to be checked.
-                    if j > i && s.point_y.in_range(&submissions[j].range_y) {
-                        edges.push((i, j));
+            let j = base + offset;
+            let s = s.borrow();
+            let mark = j as u32 + 1;
+            for tag in s.range_x.iter() {
+                for &i in earlier_owners(&x_points, tag, j) {
+                    stamp[i as usize] = mark;
+                }
+            }
+            for tag in s.range_y.iter() {
+                for &i in earlier_owners(&y_points, tag, j) {
+                    if stamp[i as usize] == mark {
+                        stamp[i as usize] = 0;
+                        edges.push((i as usize, j));
                     }
                 }
             }
@@ -326,22 +345,15 @@ pub fn build_conflict_graph(submissions: &[LocationSubmission]) -> ConflictGraph
     graph
 }
 
-/// Reference `O(n² · w)` conflict-graph construction: one
-/// [`LocationSubmission::conflicts_with`] test per bidder pair.
-///
-/// Kept as the semantic specification of [`build_conflict_graph`]; the
-/// property suite asserts the two produce identical graphs.
-pub fn build_conflict_graph_pairwise(submissions: &[LocationSubmission]) -> ConflictGraph {
-    let n = submissions.len();
-    let mut graph = ConflictGraph::disconnected(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if submissions[i].conflicts_with(&submissions[j]) {
-                graph.add_conflict(i.into(), j.into());
-            }
-        }
-    }
-    graph
+/// The owners of `tag` before bidder `j` in an index whose rows list
+/// bidders in ascending order: the join reads only the `i < j`
+/// direction, exactly like the pairwise predicate.
+fn earlier_owners<'a>(
+    index: &'a FrozenTagIndex,
+    tag: &Tag,
+    j: usize,
+) -> impl Iterator<Item = &'a u32> {
+    index.owners(tag).iter().take_while(move |&&i| (i as usize) < j)
 }
 
 #[cfg(test)]
@@ -385,6 +397,79 @@ mod tests {
         let masked = build_conflict_graph(&submissions);
         let plain = ConflictGraph::from_locations(&locations, config.lambda);
         assert_eq!(masked, plain);
+    }
+
+    /// Masks every location under one key and RNG stream.
+    fn mask_all(
+        locations: &[Location],
+        g0: &HmacKey,
+        config: &LppaConfig,
+        rng: &mut StdRng,
+    ) -> Vec<LocationSubmission> {
+        locations.iter().map(|&l| LocationSubmission::build(l, g0, config, rng).unwrap()).collect()
+    }
+
+    #[test]
+    fn fleet_scale_graph_matches_plaintext_graph() {
+        // The fleet shape: 1,000 bidders on the 128 grid, so owner rows
+        // run to dozens of bidders. Co-located bidders share every
+        // cover tag, and the grid's edges clamp their covers.
+        let (g0, config, mut rng) = setup();
+        use lppa_rng::Rng as _;
+        let max = config.loc_max();
+        let mut locations: Vec<Location> = (0..940)
+            .map(|_| Location::new(rng.gen_range(0..=max), rng.gen_range(0..=max)))
+            .collect();
+        locations.extend_from_within(..36);
+        for (x, y) in [(0, 0), (0, max), (max, 0), (max, max), (0, 64), (max, 64)] {
+            for _ in 0..4 {
+                locations.push(Location::new(x, y));
+            }
+        }
+        assert_eq!(locations.len(), 1000);
+        let submissions = mask_all(&locations, &g0, &config, &mut rng);
+        let masked = build_conflict_graph(&submissions);
+        assert_eq!(masked, ConflictGraph::from_locations(&locations, config.lambda));
+        assert!(masked.edge_count() > 3000, "{} edges", masked.edge_count());
+    }
+
+    #[test]
+    fn owned_and_borrowed_submissions_give_equal_graphs() {
+        let (g0, config, mut rng) = setup();
+        use lppa_rng::Rng as _;
+        let locations: Vec<Location> = (0..200)
+            .map(|_| Location::new(rng.gen_range(40..=72), rng.gen_range(40..=72)))
+            .collect();
+        let owned = mask_all(&locations, &g0, &config, &mut rng);
+        let borrowed: Vec<&LocationSubmission> = owned.iter().collect();
+        let graph = build_conflict_graph(&owned);
+        assert_eq!(graph, build_conflict_graph(&borrowed));
+        assert_eq!(graph, ConflictGraph::from_locations(&locations, config.lambda));
+    }
+
+    #[test]
+    fn repeated_hits_on_one_peer_give_one_edge() {
+        // Bidder 0's y family is tampered to carry every tag of bidder
+        // 1's y cover, so bidder 1's y probes reach bidder 0 through
+        // several owner rows. Bidder 2, level with bidder 1 on y, reaches
+        // it through the shared cover tags too. Bidder 1 also conflicts
+        // on x and gets exactly one edge; bidder 2 is far away on x and
+        // gets none.
+        let (g0, config, mut rng) = setup();
+        let locations = [Location::new(10, 10), Location::new(12, 12), Location::new(100, 12)];
+        let mut submissions = mask_all(&locations, &g0, &config, &mut rng);
+        let tampered: Vec<Tag> =
+            submissions[0].point_y.iter().chain(submissions[1].range_y.iter()).copied().collect();
+        submissions[0].point_y = MaskedPoint::from_tags(tampered).unwrap();
+        let shared = submissions[1]
+            .range_y
+            .iter()
+            .filter(|t| submissions[0].point_y.iter().any(|p| p == *t));
+        assert!(shared.count() > 1);
+
+        let graph = build_conflict_graph(&submissions);
+        assert_eq!(graph.edge_count(), 1);
+        assert!(graph.are_conflicting(0.into(), 1.into()));
     }
 
     #[test]

@@ -255,16 +255,16 @@ pub fn run_private_auction_with_model<R: Rng>(
     rng: &mut R,
 ) -> Result<PrivateAuctionResult, LppaError> {
     let conflicts = conflict_graph(submissions);
-    let bids = submissions.iter().map(|s| s.bids.clone()).collect();
+    let bids = submissions.iter().map(|s| &s.bids).collect();
     let table = MaskedBidTable::collect_with(bids, BackendKind::Hmac, model)?;
     settle_allocation_in(&table, conflicts, ttp, rng, &mut RoundScratch::new(), None)
 }
 
 /// The conflict graph the auctioneer reconstructs from the submissions'
-/// masked locations.
-pub fn conflict_graph(submissions: &[SuSubmission]) -> ConflictGraph {
-    let locations: Vec<LocationSubmission> =
-        submissions.iter().map(|s| s.location.clone()).collect();
+/// masked locations, read in place.
+pub fn conflict_graph<S: Borrow<SuSubmission> + Sync>(submissions: &[S]) -> ConflictGraph {
+    let locations: Vec<&LocationSubmission> =
+        submissions.iter().map(|s| &s.borrow().location).collect();
     build_conflict_graph(&locations)
 }
 

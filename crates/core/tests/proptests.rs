@@ -6,14 +6,13 @@
 //! `lppa_rng::testing`).
 
 use lppa::ppbs::bid::AdvancedBidSubmission;
-use lppa::ppbs::location::{
-    build_conflict_graph, build_conflict_graph_pairwise, LocationSubmission,
-};
+use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::LppaConfig;
 use lppa_auction::bidder::{BidderId, Location};
+use lppa_auction::conflict::ConflictGraph;
 use lppa_rng::testing::check;
 use lppa_rng::{Rng, StdRng};
 use lppa_spectrum::ChannelId;
@@ -110,32 +109,36 @@ fn masked_conflicts_match_predicate() {
     });
 }
 
-/// The inverted-index conflict graph is identical to the pairwise
-/// reference for arbitrary bidder sets — including the degenerate
-/// 0- and 1-bidder graphs and the fully-colliding case where every
-/// bidder shares one location (maximal owner lists, complete graph).
+/// The masked conflict graph (the two-axis index join) is identical to
+/// the plaintext graph of the same locations for arbitrary bidder sets —
+/// including the degenerate 0- and 1-bidder graphs and the
+/// fully-colliding case where every bidder shares one location (maximal
+/// owner lists, complete graph).
 #[test]
-fn indexed_conflict_graph_equals_pairwise() {
-    check("indexed_conflict_graph_equals_pairwise", |rng| {
+fn indexed_conflict_graph_equals_plaintext() {
+    check("indexed_conflict_graph_equals_plaintext", |rng| {
         let config = LppaConfig::default();
         let ttp = Ttp::new(1, config, rng).unwrap();
         let g0 = &ttp.bidder_keys().g0;
         let n = rng.gen_range(0usize..=24);
         let colliding = rng.gen_bool(0.2);
         let base = Location::new(rng.gen_range(0..=127), rng.gen_range(0..=127));
-        let submissions: Vec<LocationSubmission> = (0..n)
+        let locations: Vec<Location> = (0..n)
             .map(|_| {
-                let loc = if colliding {
+                if colliding {
                     base
                 } else {
                     Location::new(rng.gen_range(0..=127), rng.gen_range(0..=127))
-                };
-                LocationSubmission::build(loc, g0, &config, rng).unwrap()
+                }
             })
+            .collect();
+        let submissions: Vec<LocationSubmission> = locations
+            .iter()
+            .map(|&loc| LocationSubmission::build(loc, g0, &config, rng).unwrap())
             .collect();
         assert_eq!(
             build_conflict_graph(&submissions),
-            build_conflict_graph_pairwise(&submissions),
+            ConflictGraph::from_locations(&locations, config.lambda),
             "n={n} colliding={colliding}"
         );
     });

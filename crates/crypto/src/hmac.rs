@@ -6,15 +6,17 @@
 //! bid. Validated against the RFC 4231 test vectors.
 
 use crate::lanes::{self, MAX_LANES};
-use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{self, Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Longest message the batched two-compression HMAC path handles: the
-/// message, the `0x80` terminator and the 8-byte bit length must all fit
-/// in the single inner block that follows the ipad block.
+/// Longest message the two-compression HMAC paths handle (batched and
+/// [`HmacMidstate::compute`]): the message, the `0x80` terminator and the
+/// 8-byte bit length must all fit in the single inner block that follows
+/// the ipad block.
 ///
-/// Every numericalized prefix in the LPPA hot path is 9 bytes, far under
-/// this bound; longer messages fall back to the scalar path inside the
-/// batch API, so callers never need to check it themselves.
+/// Every numericalized prefix in the LPPA hot path is 9 bytes, and a
+/// sealed value's MAC input 20, far under this bound; longer messages
+/// fall back to the streaming path inside both APIs, so callers never
+/// need to check it themselves.
 pub const MAX_BATCH_MSG: usize = BLOCK_LEN - 9;
 
 /// Incremental HMAC-SHA256.
@@ -128,13 +130,25 @@ impl HmacMidstate {
     }
 
     /// One-shot MAC of `message` from the cached midstate.
+    ///
+    /// A message of up to [`MAX_BATCH_MSG`] bytes fits one padded inner
+    /// block, so it costs exactly two compressions run straight from the
+    /// cached state words, with the block staged on the stack. Longer
+    /// messages stream through copies of the two hashers.
     pub fn compute(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
-        let mut inner = self.inner.clone();
-        inner.update(message);
-        let inner_digest = inner.finalize();
-        let mut outer = self.outer.clone();
-        outer.update(&inner_digest);
-        outer.finalize()
+        if message.len() > MAX_BATCH_MSG {
+            let mut mac = self.mac();
+            mac.update(message);
+            return mac.finalize();
+        }
+        let mut block = [0u8; BLOCK_LEN];
+        stage_inner_block(&mut block, message);
+        let mut state = self.inner.state_words();
+        sha256::compress(&mut state, &block);
+        let outer = outer_block(&state);
+        state = self.outer.state_words();
+        sha256::compress(&mut state, &outer);
+        digest_bytes(&state)
     }
 
     /// Starts an incremental MAC from the cached midstate; feed it with
@@ -211,14 +225,7 @@ impl HmacMidstate {
                 sink(i, self.compute(msg));
                 continue;
             }
-            // Inner block: message ‖ 0x80 ‖ zeros ‖ total bit length
-            // (the ipad block already absorbed counts toward it).
-            let block = &mut blocks[filled];
-            *block = [0u8; BLOCK_LEN];
-            block[..msg.len()].copy_from_slice(msg);
-            block[msg.len()] = 0x80;
-            let bit_len = ((BLOCK_LEN + msg.len()) as u64) * 8;
-            block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+            stage_inner_block(&mut blocks[filled], msg);
             idx[filled] = i;
             filled += 1;
 
@@ -271,6 +278,19 @@ fn flush_lanes<F: FnMut(usize, [u8; DIGEST_LEN])>(
     for (state, &message_index) in states.iter().zip(idx) {
         sink(message_index, digest_bytes(state));
     }
+}
+
+/// Writes the inner block for a message of at most [`MAX_BATCH_MSG`]
+/// bytes in place: message ‖ 0x80 ‖ zeros ‖ total bit length (the ipad
+/// block already absorbed counts toward it). Writing into the caller's
+/// block, not returning one, keeps the batch path from copying each
+/// staged block once more.
+fn stage_inner_block(block: &mut [u8; BLOCK_LEN], message: &[u8]) {
+    *block = [0u8; BLOCK_LEN];
+    block[..message.len()].copy_from_slice(message);
+    block[message.len()] = 0x80;
+    let bit_len = ((BLOCK_LEN + message.len()) as u64) * 8;
+    block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
 }
 
 /// The outer block for an inner digest held as state words: the 32-byte
@@ -416,9 +436,15 @@ mod tests {
 
     #[test]
     fn midstate_is_reusable_across_messages() {
-        let midstate = HmacMidstate::new(b"reused-key");
-        for msg in [b"a".as_slice(), b"bb", b"", &[0u8; 200]] {
-            assert_eq!(midstate.compute(msg), hmac_sha256(b"reused-key", msg));
+        // Every length from empty, across the one-block bound
+        // (MAX_BATCH_MSG), to past two blocks, under a short and a
+        // hashed long key: `compute` must equal the streaming HMAC.
+        for key in [b"reused-key".as_slice(), &[0x5cu8; 100]] {
+            let midstate = HmacMidstate::new(key);
+            for len in 0..=130usize {
+                let msg: Vec<u8> = (0..len).map(|i| (i * 31 + len) as u8).collect();
+                assert_eq!(midstate.compute(&msg), hmac_sha256(key, &msg), "len {len}");
+            }
         }
     }
 

@@ -30,8 +30,7 @@
 use std::net::{SocketAddr, TcpListener};
 use std::thread;
 
-use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
-use lppa::protocol::{charge_requests, AuctioneerModel, SuSubmission};
+use lppa::protocol::{charge_requests, conflict_graph, AuctioneerModel, SuSubmission};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::wire::{
@@ -430,10 +429,8 @@ pub fn serve_auctioneer(
         // CollectCommitted plus the collected submissions. The answered
         // charges are deliberately *not* persisted — resume re-requests
         // every slot and the TTP answers idempotently.
-        let locations: Vec<LocationSubmission> =
-            collected.accepted_submissions.iter().map(|s| s.location.clone()).collect();
-        let conflicts = build_conflict_graph(&locations);
-        let bids = collected.accepted_submissions.iter().map(|s| s.bids.clone()).collect();
+        let conflicts = conflict_graph(&collected.accepted_submissions);
+        let bids = collected.accepted_submissions.iter().map(|s| &s.bids).collect();
         let table = match spec.session.model {
             AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
             AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,

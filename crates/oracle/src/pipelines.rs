@@ -38,7 +38,7 @@
 use lppa::backend::{
     bloom_probe_stats, run_private_auction_with_backend, BackendAuctionResult, BloomProbeStats,
 };
-use lppa::ppbs::location::{build_conflict_graph, build_conflict_graph_pairwise};
+use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
 use lppa::protocol::{
     build_submissions, run_private_auction_with_model, AuctioneerModel, PrivateAuctionResult,
     SuSubmission,
@@ -233,9 +233,10 @@ pub struct ScenarioRun {
     pub parallel_checksums: Vec<u64>,
     /// Wire checksums of the serial reference build.
     pub serial_checksums: Vec<u64>,
-    /// TagIndex-based conflict graph over the masked locations.
+    /// The runtime conflict graph (two-axis index join) over the
+    /// masked locations.
     pub graph_indexed: ConflictGraph,
-    /// O(n²) reference conflict graph over the same submissions.
+    /// [`build_conflict_graph_pairwise`] over the same submissions.
     pub graph_pairwise: ConflictGraph,
     /// The pruned masked table (for maxima-variant checks).
     pub table_pruned: MaskedBidTable,
@@ -308,7 +309,7 @@ impl ScenarioRun {
             sums
         };
 
-        let locations: Vec<_> = submissions.iter().map(|s| s.location.clone()).collect();
+        let locations: Vec<&LocationSubmission> = submissions.iter().map(|s| &s.location).collect();
         let graph_indexed = build_conflict_graph(&locations);
         let graph_pairwise = build_conflict_graph_pairwise(&locations);
 
@@ -682,6 +683,25 @@ impl ScenarioRun {
 
         Ok(runs)
     }
+}
+
+/// Reference `O(n² · w)` conflict-graph construction: one
+/// [`LocationSubmission::conflicts_with`] test per bidder pair.
+///
+/// The semantic specification of [`build_conflict_graph`]'s index join,
+/// kept here as a test oracle only: `conflict_graph_cross_check`
+/// compares the two, and both with the plaintext graph.
+pub fn build_conflict_graph_pairwise(submissions: &[&LocationSubmission]) -> ConflictGraph {
+    let n = submissions.len();
+    let mut graph = ConflictGraph::disconnected(n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if submissions[i].conflicts_with(submissions[j]) {
+                graph.add_conflict(i.into(), j.into());
+            }
+        }
+    }
+    graph
 }
 
 /// An alternative configuration with `rd` shifted and `cr` scaled, or

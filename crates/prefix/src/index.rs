@@ -314,11 +314,11 @@ impl TagIndex {
 /// Where [`TagIndex`] keeps one [`SmallVec`] per distinct tag — ideal
 /// for incremental insert/remove but one potential heap spill per bucket
 /// — the frozen form packs **every** owner entry into a single `entries`
-/// slab addressed by an `offsets` prefix-sum (classic CSR): exactly
-/// three allocations regardless of how many buckets spill, contiguous
-/// probe reads, and no per-bucket capacity slack. It cannot be mutated
-/// after construction; the dense batch paths build it, probe it, and
-/// drop it within one round.
+/// slab addressed by an `offsets` prefix-sum (classic CSR): a handful
+/// of allocations however many buckets would spill, contiguous probe
+/// reads, and no per-bucket capacity slack. It cannot
+/// be mutated after construction; the dense batch paths build it, probe
+/// it, and drop it within one round.
 ///
 /// [`owners`](FrozenTagIndex::owners) returns owners in insertion
 /// order, exactly like [`TagIndex::owners`] over the same insertion
@@ -333,26 +333,31 @@ pub struct FrozenTagIndex {
 }
 
 impl FrozenTagIndex {
-    /// Builds the index from two passes over the same `(tag, owner)`
-    /// sequence: `pass()` must yield an identical sequence both times
-    /// (the first pass assigns rows and counts them, the second fills
-    /// the packed slab). `expected_tags` pre-sizes the row map.
-    pub fn freeze<'a, I, F>(expected_tags: usize, mut pass: F) -> Self
+    /// Builds the index from one pass over a `(tag, owner)` sequence.
+    /// Each entry's tag is hashed once: the pass assigns rows and
+    /// stages `(row, owner)` pairs, and a stable counting sort then
+    /// packs the slab, so every row lists its owners in sequence order.
+    /// `expected_entries` pre-sizes the staging buffer; the row map grows
+    /// with the distinct tags.
+    pub fn freeze<'a, I>(expected_entries: usize, entries: I) -> Self
     where
-        I: Iterator<Item = (&'a Tag, u32)>,
-        F: FnMut() -> I,
+        I: IntoIterator<Item = (&'a Tag, u32)>,
     {
-        let mut rows: HashMap<Tag, u32, TagBuildHasher> =
-            HashMap::with_capacity_and_hasher(expected_tags, TagBuildHasher::default());
-        let mut counts: Vec<u32> = Vec::with_capacity(expected_tags);
-        for (tag, _) in pass() {
-            match rows.entry(*tag) {
-                Entry::Occupied(slot) => counts[*slot.get() as usize] += 1,
+        let mut rows: HashMap<Tag, u32, TagBuildHasher> = HashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut staged: Vec<(u32, u32)> = Vec::with_capacity(expected_entries);
+        for (tag, owner) in entries {
+            let row = match rows.entry(*tag) {
+                Entry::Occupied(slot) => *slot.get(),
                 Entry::Vacant(slot) => {
-                    slot.insert(counts.len() as u32);
-                    counts.push(1);
+                    let row = counts.len() as u32;
+                    slot.insert(row);
+                    counts.push(0);
+                    row
                 }
-            }
+            };
+            counts[row as usize] += 1;
+            staged.push((row, owner));
         }
         let mut offsets = Vec::with_capacity(counts.len() + 1);
         let mut total = 0u32;
@@ -365,11 +370,11 @@ impl FrozenTagIndex {
         let mut cursors = counts;
         let n_rows = cursors.len();
         cursors.copy_from_slice(&offsets[..n_rows]);
-        let mut entries = vec![0u32; total as usize];
-        for (tag, owner) in pass() {
-            let row = rows[tag] as usize;
-            entries[cursors[row] as usize] = owner;
-            cursors[row] += 1;
+        let mut entries = vec![0u32; staged.len()];
+        for (row, owner) in staged {
+            let cursor = &mut cursors[row as usize];
+            entries[*cursor as usize] = owner;
+            *cursor += 1;
         }
         Self { rows, offsets, entries }
     }
@@ -428,7 +433,7 @@ mod tests {
         for &(t, owner) in &seq {
             dynamic.insert(t, owner);
         }
-        let frozen = FrozenTagIndex::freeze(seq.len(), || seq.iter().map(|(t, o)| (t, *o)));
+        let frozen = FrozenTagIndex::freeze(seq.len(), seq.iter().map(|(t, o)| (t, *o)));
         assert_eq!(frozen.entry_count(), dynamic.entry_count());
         assert_eq!(frozen.distinct_tags(), dynamic.distinct_tags());
         for probe in 0..=255u8 {
@@ -439,7 +444,7 @@ mod tests {
 
     #[test]
     fn frozen_index_of_nothing_is_empty() {
-        let frozen = FrozenTagIndex::freeze(0, std::iter::empty);
+        let frozen = FrozenTagIndex::freeze(0, std::iter::empty());
         assert!(frozen.is_empty());
         assert_eq!(frozen.owners(&tag(7)), &[] as &[u32]);
     }

@@ -27,6 +27,8 @@
 //! byte-identically, and the journal of an interrupted session can be
 //! [resumed](AuctionSession::resume) to the identical outcome.
 
+use std::borrow::Borrow;
+
 use lppa::backend::RoundLedger;
 use lppa::protocol::{
     charge_requests, conflict_graph, validate_submission, AuctioneerModel, SuSubmission,
@@ -440,7 +442,7 @@ impl<'a> AuctionSession<'a> {
         quarantine: QuarantineReport,
         stats: TransportStats,
     ) -> Result<SessionOutcome, LppaError> {
-        let compact: Vec<SuSubmission> = accepted.iter().map(|&i| submissions[i].clone()).collect();
+        let compact: Vec<&SuSubmission> = accepted.iter().map(|&i| &submissions[i]).collect();
         finish_round(
             &self.config,
             LocalTtp(self.ttp),
@@ -466,8 +468,9 @@ impl<'a> AuctionSession<'a> {
 /// connection. `accepted_submissions` is *compact* — parallel to
 /// `accepted`, holding only the submissions that survived collect —
 /// because a networked auctioneer never materializes the ones that
-/// didn't. `n_bidders` sizes the outcome's bidder space (original
-/// indices).
+/// didn't. It may hold the submissions or references to them: the
+/// round reads them in place. `n_bidders` sizes the outcome's bidder
+/// space (original indices).
 ///
 /// # Errors
 ///
@@ -475,19 +478,23 @@ impl<'a> AuctionSession<'a> {
 /// disagree in length, or for table inconsistencies (impossible for
 /// validated submissions).
 #[allow(clippy::too_many_arguments)] // the CollectCommitted tuple, spelled out
-pub fn finish_round<B: ChargeBackend>(
+pub fn finish_round<B, S>(
     config: &SessionConfig,
     backend: B,
     n_bidders: usize,
     accepted: Vec<usize>,
-    accepted_submissions: &[SuSubmission],
+    accepted_submissions: &[S],
     auction_seed: u64,
     ttp_seed: u64,
     start_tick: u64,
     mut journal: Journal,
     mut quarantine: QuarantineReport,
     stats: TransportStats,
-) -> Result<SessionOutcome, LppaError> {
+) -> Result<SessionOutcome, LppaError>
+where
+    B: ChargeBackend,
+    S: Borrow<SuSubmission> + Sync,
+{
     if accepted.len() != accepted_submissions.len() {
         return Err(LppaError::Internal {
             what: format!(
@@ -499,7 +506,7 @@ pub fn finish_round<B: ChargeBackend>(
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Allocate, tick: start_tick });
     let conflicts = conflict_graph(accepted_submissions);
-    let bids: Vec<_> = accepted_submissions.iter().map(|s| s.bids.clone()).collect();
+    let bids: Vec<_> = accepted_submissions.iter().map(|s| &s.borrow().bids).collect();
     let table = MaskedBidTable::collect_with(bids, config.backend, config.model)?;
     let compact_grants =
         greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(auction_seed));
@@ -514,7 +521,7 @@ pub fn finish_round<B: ChargeBackend>(
     let mut ledger = RoundLedger::for_backend(config.backend);
     if let Some(ledger) = ledger.as_mut() {
         for (&original, submission) in accepted.iter().zip(accepted_submissions) {
-            ledger.submission(original, submission.checksum());
+            ledger.submission(original, submission.borrow().checksum());
         }
     }
     for grant in &grants {
