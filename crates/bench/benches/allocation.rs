@@ -1,12 +1,14 @@
 //! Benchmarks of the auctioneer-side work: masked comparisons, masked
-//! winner selection, channel ranking, conflict-graph construction, and
-//! the greedy allocation on plaintext vs masked tables.
+//! winner selection, channel ranking, the bid table's tie classes,
+//! conflict-graph construction, and the greedy allocation on plaintext
+//! vs masked tables.
 
 use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
 use lppa::protocol::build_submissions;
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
+use lppa::AdvancedBidSubmission;
 use lppa::LppaConfig;
 use lppa_auction::allocation::{greedy_allocate, BidOracle};
 use lppa_auction::bidder::{BidTable, BidderId, Location};
@@ -70,6 +72,19 @@ fn bench_rank_channel(b: &mut Bench) {
     });
 }
 
+fn bench_table_collect(b: &mut Bench) {
+    // The fleet area (1,000 bidders on 2 channels) and the wire129 area
+    // (25 bidders on 129 channels), collected over borrowed submissions
+    // as the session round does.
+    for (n, k) in [(1000usize, 2usize), (25, 129)] {
+        let (masked, _, _, _) = build_masked_fixture(n, k, 8);
+        b.bench(&format!("allocation/masked_table_collect_n{n}_k{k}"), || {
+            let borrowed: Vec<&AdvancedBidSubmission> = masked.submissions().iter().collect();
+            std::hint::black_box(MaskedBidTable::collect_pruned(borrowed).unwrap());
+        });
+    }
+}
+
 fn bench_conflict_graph(b: &mut Bench) {
     // 1,000 bidders is the fleet workload's area.
     for n in [100usize, 500, 1000] {
@@ -97,6 +112,7 @@ fn main() {
     bench_masked_comparison(&mut b);
     bench_select_winner(&mut b);
     bench_rank_channel(&mut b);
+    bench_table_collect(&mut b);
     bench_conflict_graph(&mut b);
     bench_greedy(&mut b);
     b.finish();

@@ -10,7 +10,7 @@ use lppa_crypto::hmac::hmac_sha256;
 use lppa_crypto::keys::{HmacKey, SealKey};
 use lppa_crypto::seal::SealedValue;
 use lppa_crypto::sha256::sha256;
-use lppa_crypto::tag::Tag;
+use lppa_crypto::tag::{Tag, TagBuildHasher};
 use lppa_rng::bench::Bench;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
@@ -37,6 +37,16 @@ fn bench_tag(b: &mut Bench) {
     let key = HmacKey::from_bytes([9u8; 32]);
     b.bench("tag/compute", || {
         Tag::compute(std::hint::black_box(&key), std::hint::black_box(b"011101010"));
+    });
+}
+
+fn bench_tag_hash(b: &mut Bench) {
+    // One probe's hash in the auctioneer's tag sets and indexes.
+    use std::hash::BuildHasher;
+    let hasher = TagBuildHasher::default();
+    let tag = Tag::compute(&HmacKey::from_bytes([9u8; 32]), b"011101010");
+    b.bench("tag_hash", || {
+        std::hint::black_box(hasher.hash_one(std::hint::black_box(tag)));
     });
 }
 
@@ -115,6 +125,7 @@ fn main() {
     bench_sha256(&mut b);
     bench_hmac(&mut b);
     bench_tag(&mut b);
+    bench_tag_hash(&mut b);
     bench_tag_batch(&mut b);
     bench_lane_kernel(&mut b);
     bench_chacha20(&mut b);

@@ -5,7 +5,7 @@
 //! Reported per backend:
 //!
 //! * `collect:<kind>` — building the bid table under that backend's
-//!   ranking (exact insertion ranking for `hmac`/`ledger`, the
+//!   ranking (exact counted ranking for `hmac`/`ledger`, the
 //!   all-pairs dominance count for `bloom`);
 //! * `round:<kind>` — one complete private auction (conflict graph,
 //!   traced allocation, first-price charging, Vickrey resettlement,

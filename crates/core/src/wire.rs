@@ -232,14 +232,19 @@ impl<'a> TagGroupView<'a> {
     }
 }
 
-/// Appends a tag group in canonical (strictly ascending) order.
-fn encode_tags<'t, I: Iterator<Item = &'t Tag>>(tags: I, out: &mut Vec<u8>) {
-    let mut sorted: Vec<&[u8; TAG_LEN]> = tags.map(Tag::as_bytes).collect();
-    sorted.sort_unstable();
-    debug_assert!(u16::try_from(sorted.len()).is_ok());
-    out.extend_from_slice(&(sorted.len() as u16).to_le_bytes());
-    for tag in sorted {
-        out.extend_from_slice(tag);
+/// Appends a tag group in canonical (strictly ascending) order, sorting
+/// through `keys`, a scratch buffer the caller reuses across groups.
+///
+/// A tag's big-endian `u128` orders exactly as its bytes do, so the
+/// group sorts as integers and is written back byte for byte.
+fn encode_tags<'t, I: Iterator<Item = &'t Tag>>(tags: I, keys: &mut Vec<u128>, out: &mut Vec<u8>) {
+    keys.clear();
+    keys.extend(tags.map(|t| u128::from_be_bytes(*t.as_bytes())));
+    keys.sort_unstable();
+    debug_assert!(u16::try_from(keys.len()).is_ok());
+    out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
+    for key in keys.iter() {
+        out.extend_from_slice(&key.to_be_bytes());
     }
 }
 
@@ -431,11 +436,12 @@ pub fn encode_submission(
     out.extend_from_slice(&(bidder as u32).to_le_bytes());
     out.extend_from_slice(&attempt.to_le_bytes());
     out.extend_from_slice(&checksum.to_le_bytes());
+    let mut keys = Vec::with_capacity(MAX_GROUP_TAGS);
     let loc = &submission.location;
-    encode_tags(loc.point_x().iter(), out);
-    encode_tags(loc.range_x().iter(), out);
-    encode_tags(loc.point_y().iter(), out);
-    encode_tags(loc.range_y().iter(), out);
+    encode_tags(loc.point_x().iter(), &mut keys, out);
+    encode_tags(loc.range_x().iter(), &mut keys, out);
+    encode_tags(loc.point_y().iter(), &mut keys, out);
+    encode_tags(loc.range_y().iter(), &mut keys, out);
     let n = submission.bids.n_channels();
     debug_assert!(n <= MAX_WIRE_CHANNELS);
     out.extend_from_slice(&(n as u16).to_le_bytes());
@@ -447,8 +453,8 @@ pub fn encode_submission(
     }
     out.extend_from_slice(&bitmap);
     for bid in submission.bids.bids() {
-        encode_tags(bid.point.iter(), out);
-        encode_tags(bid.range.iter(), out);
+        encode_tags(bid.point.iter(), &mut keys, out);
+        encode_tags(bid.range.iter(), &mut keys, out);
         out.extend_from_slice(&bid.sealed.to_wire_bytes());
     }
 }
@@ -520,7 +526,7 @@ pub fn encode_charge_request(slot: u32, request: &ChargeRequest, out: &mut Vec<u
     out.extend_from_slice(&slot.to_le_bytes());
     out.extend_from_slice(&(request.channel.0 as u32).to_le_bytes());
     out.extend_from_slice(&request.sealed.to_wire_bytes());
-    encode_tags(request.point.iter(), out);
+    encode_tags(request.point.iter(), &mut Vec::new(), out);
 }
 
 /// Decodes a charge request payload.

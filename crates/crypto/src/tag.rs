@@ -154,10 +154,16 @@ impl AsRef<[u8]> for Tag {
 /// Tags are truncated HMAC-SHA256 outputs: uniformly distributed, and
 /// unforgeable without the masking key, so the auctioneer's tag sets do
 /// not need SipHash's collision resistance against adversarial keys.
-/// This hasher folds the written bytes into a 64-bit accumulator and
-/// applies one SplitMix64 avalanche, which is several times cheaper per
-/// probe — and the hot auction paths (membership tests, the inverted
-/// tag index) are nothing but probes.
+/// This hasher folds the written bytes, 8 at a time as little-endian
+/// words, into a 64-bit accumulator and applies one SplitMix64
+/// avalanche — and the hot auction paths (membership tests, the
+/// inverted tag index, owner counts) are nothing but probes.
+///
+/// Hashing a [`Tag`] writes its length prefix and then its 16 bytes;
+/// both have inlined fixed-size paths (one fold for the length, two
+/// 8-byte loads for the tag), so a probe never runs the generic chunk
+/// loop. Every other write folds through that loop, and the values are
+/// the same either way.
 ///
 /// Unlike `std`'s default `RandomState`, the hash is the same in every
 /// process, which also makes set iteration order reproducible.
@@ -179,15 +185,42 @@ pub struct TagHasher(u64);
 /// `HashMap`/`HashSet`.
 pub type TagBuildHasher = std::hash::BuildHasherDefault<TagHasher>;
 
+impl TagHasher {
+    /// Folds one little-endian word into the accumulator.
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(29) ^ word;
+    }
+}
+
 impl std::hash::Hasher for TagHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
+        if let Ok(tag) = <[u8; TAG_LEN]>::try_from(bytes) {
+            // Bytes 0..8 and 8..16 as little-endian words, as the loop
+            // below would read them.
+            let word = u128::from_le_bytes(tag);
+            self.fold(word as u64);
+            self.fold((word >> 64) as u64);
+            return;
+        }
         for chunk in bytes.chunks(8) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = self.0.rotate_left(29) ^ u64::from_le_bytes(word);
+            self.fold(u64::from_le_bytes(word));
         }
     }
 
+    /// The length prefix a derived `Hash` writes before a slice: the
+    /// same fold as `write(&i.to_ne_bytes())`, without the loop.
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        let mut word = [0u8; 8];
+        word[..std::mem::size_of::<usize>()].copy_from_slice(&i.to_ne_bytes());
+        self.fold(u64::from_le_bytes(word));
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
         // SplitMix64 avalanche: tag bytes are uniform, but the fold
         // above is linear, so mix once before handing bits to the table.
@@ -256,6 +289,78 @@ mod tests {
         assert_eq!(Tag::compute_batch(&k, &messages), want);
         for width in crate::lanes::SUPPORTED_WIDTHS {
             assert_eq!(Tag::compute_batch_with_width(&k, width, &messages), want, "w={width}");
+        }
+    }
+
+    /// The hasher's definition spelled out: fold the length prefix, then
+    /// every 8-byte chunk (the last zero-padded) as a little-endian
+    /// word, then avalanche.
+    fn reference_fold(length_prefix: Option<usize>, bytes: &[u8]) -> u64 {
+        use std::hash::Hasher;
+        let mut acc = 0u64;
+        let words = length_prefix.map(|n| n as u64).into_iter().chain(bytes.chunks(8).map(|c| {
+            let mut word = [0u8; 8];
+            word[..c.len()].copy_from_slice(c);
+            u64::from_le_bytes(word)
+        }));
+        for word in words {
+            acc = acc.rotate_left(29) ^ word;
+        }
+        TagHasher(acc).finish()
+    }
+
+    #[test]
+    fn tag_hash_values_are_pinned() {
+        // Set and index iteration orders (and with them every frame,
+        // fingerprint and oracle repro) follow these values.
+        use std::hash::BuildHasher;
+        let hasher = TagBuildHasher::default();
+        let mut ascending = [0u8; TAG_LEN];
+        for (i, b) in ascending.iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let golden = [
+            (Tag::from_bytes([0; TAG_LEN]), 0x00aa_50ea_8e0f_a9eb),
+            (Tag::from_bytes(ascending), 0x5f90_22b1_9b3b_12aa),
+            (Tag::compute(&key(9), b"10100"), 0xa14c_314a_509b_b516),
+        ];
+        for (tag, want) in golden {
+            assert_eq!(hasher.hash_one(tag), want, "{tag}");
+        }
+    }
+
+    #[test]
+    fn tag_fast_path_equals_generic_fold() {
+        use crate::rand_core::{RngCore, TestRng};
+        use std::hash::BuildHasher;
+        let hasher = TagBuildHasher::default();
+        let mut rng = TestRng::new(0x7a6);
+        for _ in 0..1000 {
+            let mut bytes = [0u8; TAG_LEN];
+            rng.fill_bytes(&mut bytes);
+            let want = reference_fold(Some(TAG_LEN), &bytes);
+            assert_eq!(hasher.hash_one(Tag::from_bytes(bytes)), want);
+        }
+    }
+
+    #[test]
+    fn other_write_lengths_fold_in_eight_byte_chunks() {
+        use std::hash::Hasher;
+        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37).wrapping_add(5)).collect();
+        for n in 0..bytes.len() {
+            let mut h = TagHasher::default();
+            h.write(&bytes[..n]);
+            assert_eq!(h.finish(), reference_fold(None, &bytes[..n]), "n={n}");
+        }
+        // Values computed before the 16-byte path existed.
+        for (n, want) in [
+            (0usize, 0xe220_a839_7b1d_cdaf),
+            (13, 0x2b12_86ba_337b_a7fb),
+            (33, 0x4ff7_866c_7ee2_30db),
+        ] {
+            let mut h = TagHasher::default();
+            h.write(&bytes[..n]);
+            assert_eq!(h.finish(), want, "n={n}");
         }
     }
 

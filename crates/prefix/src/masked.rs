@@ -304,10 +304,25 @@ impl MaskedRange {
         hi: u32,
         scratch: &mut MaskScratch,
     ) -> Result<Self, PrefixError> {
+        Self::mask_sized_in(key, width, lo, hi, 0, scratch)
+    }
+
+    /// [`MaskedRange::mask_in`] into a set with room for `capacity` tags
+    /// before the first one lands, so a cover that will be padded is
+    /// sized once instead of growing and rehashing on the way.
+    fn mask_sized_in(
+        key: &HmacKey,
+        width: u8,
+        lo: u32,
+        hi: u32,
+        capacity: usize,
+        scratch: &mut MaskScratch,
+    ) -> Result<Self, PrefixError> {
         let mut cover = std::mem::take(&mut scratch.prefixes);
         let built = range_prefixes_into(width, lo, hi, &mut cover);
         let mut tags = scratch.take_set();
         if built.is_ok() {
+            tags.reserve(capacity);
             mask_all_into(key, &cover, &mut tags);
         }
         scratch.prefixes = cover;
@@ -359,8 +374,8 @@ impl MaskedRange {
         rng: &mut R,
         scratch: &mut MaskScratch,
     ) -> Result<Self, PrefixError> {
-        let mut masked = Self::mask_in(key, width, lo, hi, scratch)?;
         let target = max_cover_len(width);
+        let mut masked = Self::mask_sized_in(key, width, lo, hi, target, scratch)?;
         while masked.tags.len() < target {
             let mut bytes = [0u8; TAG_LEN];
             rng.fill_bytes(&mut bytes);

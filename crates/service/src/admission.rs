@@ -9,7 +9,7 @@
 //! [`ServiceConfig::flush_chunk`](crate::ServiceConfig) bidders (a
 //! multiple of the SHA-256 lane width, at least 8), so every flush
 //! feeds the kernel whole lane passes via the batched tag path inside
-//! `SuSubmission::build`.
+//! `SuSubmission::build_in`, staged through one `MaskScratch` per area.
 //!
 //! Determinism: each arriving bidder is assigned a child seed drawn
 //! from the area's admission RNG **at routing time, in arrival
@@ -21,6 +21,7 @@
 
 use std::time::Instant;
 
+use lppa::arena::MaskScratch;
 use lppa::protocol::SuSubmission;
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
@@ -78,6 +79,9 @@ pub struct AreaState {
     admission_rng: StdRng,
     buffered: Vec<Buffered>,
     built: Vec<SuSubmission>,
+    /// Prefix staging and tag-set pool shared by every build of this
+    /// area.
+    scratch: MaskScratch,
     routed: usize,
     /// When the final bidder was routed (latency measurement origin).
     pub ready_at: Option<Instant>,
@@ -102,6 +106,7 @@ impl AreaState {
             admission_rng: StdRng::seed_from_u64(admission_seed),
             buffered: Vec::new(),
             built: Vec::with_capacity(expected),
+            scratch: MaskScratch::new(),
             routed: 0,
             ready_at: None,
         }
@@ -144,12 +149,13 @@ impl AreaState {
         let take = self.buffered.len().min(chunk.max(1));
         for b in self.buffered.drain(..take) {
             let mut child = StdRng::seed_from_u64(b.seed);
-            self.built.push(SuSubmission::build(
+            self.built.push(SuSubmission::build_in(
                 b.location,
                 &b.bids,
                 &self.ttp,
                 &self.policy,
                 &mut child,
+                &mut self.scratch,
             )?);
         }
         Ok(())
