@@ -10,7 +10,9 @@
 //! `before_mean / after_mean` for every benchmark present in both
 //! (speedup > 1 means *after* is faster), plus a geometric-mean summary.
 //! Benchmarks present in only one file are listed separately so silent
-//! coverage changes cannot hide in the diff.
+//! coverage changes cannot hide in the diff. A bench that appears more
+//! than once in a file keeps its fastest record (smallest `mean_ns`), so
+//! a baseline made by concatenating N runs gates on the best of N.
 //!
 //! Usage:
 //!
@@ -98,11 +100,22 @@ fn resolve_path(path: &str) -> String {
 }
 
 /// Parses a whole bench file into `group/bench → sample` plus the
-/// deduplicated machine-context lines, skipping anything else.
+/// deduplicated machine-context lines (see [`parse_records`]).
 fn parse_file(path: &str) -> Result<(BTreeMap<String, Sample>, Vec<String>), String> {
     let path = &resolve_path(path);
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut out = BTreeMap::new();
+    let (out, contexts) = parse_records(&text);
+    if out.is_empty() {
+        return Err(format!("{path}: no benchmark records found"));
+    }
+    Ok((out, contexts))
+}
+
+/// Parses bench lines into `group/bench → sample` plus the deduplicated
+/// machine-context lines, skipping anything else. A bench recorded more
+/// than once keeps its fastest record.
+fn parse_records(text: &str) -> (BTreeMap<String, Sample>, Vec<String>) {
+    let mut out: BTreeMap<String, Sample> = BTreeMap::new();
     let mut contexts: Vec<String> = Vec::new();
     for line in text.lines() {
         if let Some(ctx) = context_body(line) {
@@ -116,12 +129,11 @@ fn parse_file(path: &str) -> Result<(BTreeMap<String, Sample>, Vec<String>), Str
         else {
             continue;
         };
-        out.insert(format!("{group}/{bench}"), Sample { mean_ns });
+        out.entry(format!("{group}/{bench}"))
+            .and_modify(|kept| kept.mean_ns = kept.mean_ns.min(mean_ns))
+            .or_insert(Sample { mean_ns });
     }
-    if out.is_empty() {
-        return Err(format!("{path}: no benchmark records found"));
-    }
-    Ok((out, contexts))
+    (out, contexts)
 }
 
 /// Parsed command line: the two report paths plus gating options.
@@ -324,6 +336,22 @@ mod tests {
         assert!(parse_cli(&to_vec(&["--max-regress", "-1", "a.json", "b.json"])).is_err());
         assert!(parse_cli(&to_vec(&["--max-regress"])).is_err());
         assert!(parse_cli(&to_vec(&["--bogus", "a.json", "b.json"])).is_err());
+    }
+
+    #[test]
+    fn a_repeated_bench_keeps_its_fastest_record() {
+        let text = [
+            r#"{"group":"allocation","bench":"collect","iters":3,"mean_ns":7.5}"#,
+            r#"{"group":"allocation","bench":"collect","iters":3,"mean_ns":4.25}"#,
+            r#"{"group":"allocation","bench":"other","iters":3,"mean_ns":9.0}"#,
+            r#"{"group":"allocation","bench":"collect","iters":3,"mean_ns":6.0}"#,
+        ]
+        .join("\n");
+        let (records, contexts) = parse_records(&text);
+        assert_eq!(records.len(), 2);
+        assert_eq!(records["allocation/collect"], Sample { mean_ns: 4.25 });
+        assert_eq!(records["allocation/other"], Sample { mean_ns: 9.0 });
+        assert!(contexts.is_empty());
     }
 
     #[test]

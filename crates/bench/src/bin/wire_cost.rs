@@ -23,26 +23,22 @@
 
 use std::process::ExitCode;
 
-use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
-use lppa::protocol::{charge_requests, AuctioneerModel, SuSubmission};
-use lppa::psd::table::MaskedBidTable;
-use lppa::ttp::Ttp;
+use lppa::protocol::SuSubmission;
+use lppa::ttp::{ChargeRequest, Ttp};
 use lppa::wire::{
     decode_charge_request, decode_submission, encode_charge_request, encode_charge_verdict,
     verdict_of,
 };
 use lppa::LppaError;
-use lppa_auction::allocation::greedy_allocate;
 use lppa_net::{round_fixture, run_socket_round, NetConfig};
-use lppa_rng::rngs::StdRng;
-use lppa_rng::SeedableRng;
 use lppa_session::frame::{
     encode_announce, encode_bye, encode_collect_closed, encode_frame, encode_hello, encode_settled,
     encode_sub_ack, encode_tick_done, encode_tick_start, Announce, FrameKind, Hello,
     FRAME_HEADER_LEN,
 };
 use lppa_session::{
-    decode_frame_exact, encode_submission_frame, run_wire_round, SessionConfig, SessionOutcome,
+    allocate_round, decode_frame_exact, encode_submission_frame, run_wire_round, SessionConfig,
+    SessionOutcome,
 };
 
 const USAGE: &str =
@@ -101,32 +97,24 @@ fn frames(count: u64, payload_len: usize) -> (u64, u64) {
     (count, count * (FRAME_HEADER_LEN + payload_len) as u64)
 }
 
-/// The charge-phase request/verdict traffic for the round the
-/// allocation actually produces.
-fn charge_traffic(
-    ttp: &Ttp,
+/// The round's charge requests, re-allocated from its committed seed
+/// through the session's own allocation front.
+fn round_charge_requests(
     config: &SessionConfig,
     outcome: &SessionOutcome,
     submissions: &[SuSubmission],
-) -> Result<(u64, u64), LppaError> {
-    let accepted_submissions: Vec<SuSubmission> =
-        outcome.accepted.iter().map(|&i| submissions[i].clone()).collect();
-    let locations: Vec<LocationSubmission> =
-        accepted_submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    let bids = accepted_submissions.iter().map(|s| s.bids.clone()).collect();
-    let table = match config.model {
-        AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-        AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-    };
-    // Replay the committed allocation seed so the charge set is the
-    // round's real one.
-    let (_, auction_seed, _, _) = outcome
+) -> Result<Vec<ChargeRequest>, LppaError> {
+    let (accepted, auction_seed, _, _) = outcome
         .journal
         .collect_snapshot()
         .ok_or_else(|| LppaError::Internal { what: "journal lost its commit".into() })?;
-    let grants = greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(auction_seed));
-    let requests = charge_requests(&table, &grants)?;
+    let accepted: Vec<&SuSubmission> = accepted.iter().map(|&i| &submissions[i]).collect();
+    let (_, _, requests) = allocate_round(config, &accepted, auction_seed)?;
+    Ok(requests)
+}
+
+/// The charge-phase request/verdict traffic for `requests`.
+fn charge_traffic(ttp: &Ttp, requests: &[ChargeRequest]) -> Result<(u64, u64), LppaError> {
     let mut total_frames = 0u64;
     let mut total_bytes = 0u64;
     for (slot, request) in requests.iter().enumerate() {
@@ -191,8 +179,10 @@ fn run(args: &Args) -> Result<Report, String> {
 
     let outcome =
         run_wire_round(&ttp, config, &submissions, args.seed).map_err(|e| e.to_string())?;
+    let requests =
+        round_charge_requests(&config, &outcome, &submissions).map_err(|e| e.to_string())?;
     let (charge_frames, charge_bytes) =
-        charge_traffic(&ttp, &config, &outcome, &submissions).map_err(|e| e.to_string())?;
+        charge_traffic(&ttp, &requests).map_err(|e| e.to_string())?;
     report.phase("charge", charge_frames, charge_bytes);
 
     let (cc_frames, cc_bytes) = frames(n, encode_collect_closed(0).len());
@@ -251,27 +241,14 @@ fn run(args: &Args) -> Result<Report, String> {
     time("decode_control_frame", iters * 10, &mut || {
         std::hint::black_box(decode_frame_exact(std::hint::black_box(&control)).unwrap());
     });
-    if charge_bytes > 0 {
+    if let Some(request) = requests.first() {
         // Charge codec timing over the round's first real request.
-        let accepted: Vec<SuSubmission> =
-            outcome.accepted.iter().map(|&i| submissions[i].clone()).collect();
-        let bids = accepted.iter().map(|s| s.bids.clone()).collect();
-        if let Ok(table) = MaskedBidTable::collect_pruned(bids) {
-            let locations: Vec<LocationSubmission> =
-                accepted.iter().map(|s| s.location.clone()).collect();
-            let conflicts = build_conflict_graph(&locations);
-            let grants = greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(1));
-            if let Ok(requests) = charge_requests(&table, &grants) {
-                if let Some(request) = requests.first() {
-                    time("charge_request_roundtrip", iters, &mut || {
-                        let mut payload = Vec::new();
-                        encode_charge_request(0, request, &mut payload);
-                        let view = decode_charge_request(&payload).unwrap();
-                        std::hint::black_box(view.materialize().unwrap());
-                    });
-                }
-            }
-        }
+        time("charge_request_roundtrip", iters, &mut || {
+            let mut payload = Vec::new();
+            encode_charge_request(0, request, &mut payload);
+            let view = decode_charge_request(&payload).unwrap();
+            std::hint::black_box(view.materialize().unwrap());
+        });
     }
     for (name, iters, mean) in &timings {
         report.push(format!(

@@ -30,26 +30,22 @@
 use std::net::{SocketAddr, TcpListener};
 use std::thread;
 
-use lppa::protocol::{charge_requests, conflict_graph, AuctioneerModel, SuSubmission};
-use lppa::psd::table::MaskedBidTable;
+use lppa::protocol::SuSubmission;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::wire::{
     decode_charge_request, decode_charge_verdict, encode_charge_request, encode_charge_verdict,
     verdict_of,
 };
 use lppa::{LppaConfig, LppaError};
-use lppa_auction::allocation::greedy_allocate;
-use lppa_rng::rngs::StdRng;
-use lppa_rng::SeedableRng;
 use lppa_session::frame::{
     decode_announce, decode_collect_closed, decode_settled, decode_sub_ack, decode_tick_done,
     decode_tick_start, encode_announce, encode_bye, encode_collect_closed, encode_hello,
     encode_settled, encode_sub_ack, encode_tick_start, Announce, FrameKind, Hello,
 };
 use lppa_session::{
-    derive_seeds, encode_submission_frame, finish_round, BidderSendState, ChargeBackend,
-    FrameTransport, Journal, JournalEntry, Phase, QuarantineReason, QuarantineReport,
-    SessionConfig, SessionOutcome, SimTransport, TransportStats, WireCollectEngine,
+    allocate_round, derive_seeds, encode_submission_frame, finish_round, recover_collect,
+    BidderSendState, ChargeBackend, CollectEngine, FrameTransport, Journal, JournalEntry, Phase,
+    SessionConfig, SessionOutcome, SimTransport, TransportStats,
 };
 
 use crate::config::NetConfig;
@@ -323,7 +319,7 @@ pub fn serve_auctioneer(
 ) -> Result<AuctioneerRun, NetError> {
     let n = spec.n_bidders;
     let mut peers = accept_peers(listener, n, net)?;
-    let (transport_seed, auction_seed, ttp_seed) = derive_seeds(spec.seed);
+    let (transport_seed, _, _) = derive_seeds(spec.seed);
 
     let mut journal = Journal::new();
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
@@ -338,7 +334,7 @@ pub fn serve_auctioneer(
     // through it, so the socket round suffers exactly the simulated
     // round's drop/duplicate/corrupt/delay schedule.
     let mut ingress: SimTransport<Vec<u8>> = SimTransport::new(spec.session.faults, transport_seed);
-    let mut engine = WireCollectEngine::new(n, spec.n_channels, spec.lppa);
+    let mut engine = CollectEngine::new(n, spec.n_channels, spec.lppa);
     let mut mirrors = vec![BidderSendState::new(); n];
 
     for tick in 0..=spec.session.collect_deadline {
@@ -402,24 +398,9 @@ pub fn serve_auctioneer(
     }
     ingress.flush_frames();
     let stats: TransportStats = ingress.frame_stats();
-    let attempts: Vec<u32> = mirrors.iter().map(BidderSendState::attempts).collect();
-    let collected = engine.close(&attempts, &mut journal);
-
-    let required = spec.session.min_accepted.max(1);
-    if collected.accepted.len() < required {
-        return Err(
-            LppaError::QuorumNotReached { accepted: collected.accepted.len(), required }.into()
-        );
-    }
-    let end_tick = spec.session.collect_deadline;
-    journal.append(JournalEntry::CollectCommitted {
-        accepted: collected.accepted.clone(),
-        auction_seed,
-        ttp_seed,
-        tick: end_tick,
-    });
+    let committed = engine.commit(&mirrors, &spec.session, spec.seed, journal)?;
     for conn in &mut peers.bidders {
-        conn.send(FrameKind::CollectClosed, &encode_collect_closed(end_tick))?;
+        conn.send(FrameKind::CollectClosed, &encode_collect_closed(committed.tick))?;
     }
 
     if let Some(KillPoint::MidCharge { served }) = kill {
@@ -429,40 +410,21 @@ pub fn serve_auctioneer(
         // CollectCommitted plus the collected submissions. The answered
         // charges are deliberately *not* persisted — resume re-requests
         // every slot and the TTP answers idempotently.
-        let conflicts = conflict_graph(&collected.accepted_submissions);
-        let bids = collected.accepted_submissions.iter().map(|s| &s.bids).collect();
-        let table = match spec.session.model {
-            AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-            AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-        };
-        let mut alloc_rng = StdRng::seed_from_u64(auction_seed);
-        let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-        let requests = charge_requests(&table, &grants)?;
+        let (_, _, requests) =
+            allocate_round(&spec.session, &committed.submissions, committed.auction_seed)?;
         let mut remote = RemoteTtp::new(&mut peers.ttp);
         for request in requests.iter().take(served) {
             // Verdicts are discarded — the crash loses them.
             let _ = remote.decide(request);
         }
         return Ok(AuctioneerRun::KilledInCharge(AuctioneerCheckpoint {
-            journal,
-            accepted: collected.accepted,
-            accepted_submissions: collected.accepted_submissions,
+            journal: committed.journal,
+            accepted: committed.accepted,
+            accepted_submissions: committed.submissions,
         }));
     }
 
-    let outcome = finish_round(
-        &spec.session,
-        RemoteTtp::new(&mut peers.ttp),
-        n,
-        collected.accepted,
-        &collected.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        end_tick,
-        journal,
-        collected.quarantine,
-        stats,
-    )?;
+    let outcome = finish_round(&spec.session, RemoteTtp::new(&mut peers.ttp), n, committed, stats)?;
     let fingerprint = outcome.fingerprint();
     for conn in &mut peers.bidders {
         conn.send(FrameKind::Settled, &encode_settled(fingerprint))?;
@@ -480,7 +442,8 @@ pub fn serve_auctioneer(
 ///
 /// # Errors
 ///
-/// A checkpoint without a committed collect phase, or link/session
+/// A checkpoint without a committed collect phase, one whose accepted
+/// set or submissions disagree with its journal, or link/session
 /// failures.
 pub fn resume_from_checkpoint<B: ChargeBackend>(
     checkpoint: &AuctioneerCheckpoint,
@@ -488,33 +451,15 @@ pub fn resume_from_checkpoint<B: ChargeBackend>(
     n_bidders: usize,
     backend: B,
 ) -> Result<SessionOutcome, NetError> {
-    let prefix = checkpoint.journal.prefix_through_collect().ok_or_else(|| {
-        NetError::Protocol("checkpoint journal has no committed collect phase".into())
+    let committed = recover_collect(&checkpoint.journal, |accepted| {
+        if accepted != checkpoint.accepted {
+            return Err(LppaError::Internal {
+                what: "checkpoint accepted set disagrees with journal".into(),
+            });
+        }
+        Ok(checkpoint.accepted_submissions.iter().collect())
     })?;
-    let (accepted, auction_seed, ttp_seed, tick) = prefix
-        .collect_snapshot()
-        .ok_or_else(|| NetError::Protocol("journal prefix lost its collect commitment".into()))?;
-    let accepted = accepted.to_vec();
-    if accepted != checkpoint.accepted {
-        return Err(NetError::Protocol("checkpoint accepted set disagrees with journal".into()));
-    }
-    let mut quarantine = QuarantineReport::new();
-    for (bidder, reason) in prefix.quarantine_events() {
-        quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
-    }
-    Ok(finish_round(
-        session,
-        backend,
-        n_bidders,
-        accepted,
-        &checkpoint.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        tick,
-        prefix,
-        quarantine,
-        TransportStats::default(),
-    )?)
+    Ok(finish_round(session, backend, n_bidders, committed, TransportStats::default())?)
 }
 
 /// Runs one complete round over loopback sockets: binds a listener,

@@ -8,12 +8,12 @@ use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::LppaConfig;
 use lppa_auction::bidder::Location;
 use lppa_net::{
-    resume_socket_round, run_socket_round, run_socket_round_with_kill, AuctioneerRun, KillPoint,
-    NetConfig,
+    resume_from_checkpoint, resume_socket_round, run_socket_round, run_socket_round_with_kill,
+    AuctioneerCheckpoint, AuctioneerRun, KillPoint, NetConfig, NetError,
 };
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_session::{run_wire_round, FaultConfig, SessionConfig};
+use lppa_session::{run_wire_round, FaultConfig, Journal, LocalTtp, SessionConfig, SessionOutcome};
 
 fn setup(n_bidders: usize) -> (Ttp, Vec<SuSubmission>) {
     let mut rng = StdRng::seed_from_u64(99);
@@ -110,4 +110,50 @@ fn reliable_mid_charge_kill_resumes_too() {
     let resumed =
         resume_socket_round(&ttp, config, submissions.len(), &checkpoint, &fast_net()).unwrap();
     assert_eq!(reference.fingerprint(), resumed.fingerprint());
+}
+
+/// The checkpoint a mid-charge kill of `outcome`'s round persists: the
+/// journal through `CollectCommitted` plus the accepted submissions.
+fn checkpoint_of(outcome: &SessionOutcome, submissions: &[SuSubmission]) -> AuctioneerCheckpoint {
+    AuctioneerCheckpoint {
+        journal: outcome.journal.prefix_through_collect().unwrap(),
+        accepted: outcome.accepted.clone(),
+        accepted_submissions: outcome.accepted.iter().map(|&i| submissions[i].clone()).collect(),
+    }
+}
+
+#[test]
+fn inconsistent_checkpoints_are_refused_with_a_typed_error() {
+    let (ttp, submissions) = setup(5);
+    let config = chaotic();
+    let n = submissions.len();
+    let reference = run_wire_round(&ttp, config, &submissions, 42).unwrap();
+    let resume = |checkpoint: &AuctioneerCheckpoint| {
+        resume_from_checkpoint(checkpoint, &config, n, LocalTtp(&ttp))
+    };
+    let consistent = checkpoint_of(&reference, &submissions);
+    assert_eq!(resume(&consistent).unwrap().fingerprint(), reference.fingerprint());
+
+    // Killed before collect committed: the journal holds no commitment.
+    let mut uncommitted = checkpoint_of(&reference, &submissions);
+    let entries = uncommitted.journal.entries();
+    let mut journal = Journal::new();
+    for entry in &entries[..entries.len() - 1] {
+        journal.append(entry.clone());
+    }
+    uncommitted.journal = journal;
+    // An accepted set that disagrees with the journal's.
+    let mut altered = checkpoint_of(&reference, &submissions);
+    altered.accepted[0] = n;
+    // One accepted submission lost.
+    let mut short = checkpoint_of(&reference, &submissions);
+    short.accepted_submissions.pop();
+    for (what, checkpoint) in
+        [("uncommitted", uncommitted), ("altered accepted", altered), ("short", short)]
+    {
+        match resume(&checkpoint) {
+            Err(NetError::Protocol(_)) => {}
+            other => panic!("{what}: expected a protocol error, got {other:?}"),
+        }
+    }
 }

@@ -30,7 +30,14 @@ use crate::session::SubmissionMsg;
 /// sender before the damage) no longer matches, which is how the
 /// receiver tells corruption from manipulation.
 pub fn corrupt_in_flight(msg: &mut SubmissionMsg, rng: &mut StdRng) {
-    let bids = msg.submission.bids.bids();
+    corrupt_submission(&mut msg.submission, rng);
+}
+
+/// [`corrupt_in_flight`]'s damage, applied to the submission itself:
+/// the typed round calls it on the copy it clones from a borrowed
+/// message, with the same RNG draws.
+pub(crate) fn corrupt_submission(sub: &mut SuSubmission, rng: &mut StdRng) {
+    let bids = sub.bids.bids();
     if bids.is_empty() {
         return;
     }
@@ -47,11 +54,10 @@ pub fn corrupt_in_flight(msg: &mut SubmissionMsg, rng: &mut StdRng) {
     let Ok(point) = MaskedPoint::from_tags(tags) else { return };
     let mut damaged = bids.to_vec();
     damaged[channel].point = point;
-    if let Ok(rebuilt) = AdvancedBidSubmission::from_parts(
-        damaged,
-        msg.submission.bids.presented_positive().to_vec(),
-    ) {
-        msg.submission.bids = rebuilt;
+    if let Ok(rebuilt) =
+        AdvancedBidSubmission::from_parts(damaged, sub.bids.presented_positive().to_vec())
+    {
+        sub.bids = rebuilt;
     }
 }
 
@@ -153,6 +159,34 @@ mod tests {
             SubmissionMsg { bidder: 0, attempt: 1, checksum: sub.checksum(), submission: sub };
         corrupt_in_flight(&mut msg, &mut rng);
         assert_ne!(msg.submission.checksum(), msg.checksum, "damage must be detectable");
+    }
+
+    #[test]
+    fn borrowed_message_takes_the_same_damage_as_an_owned_one() {
+        use crate::wire_round::encode_submission_frame;
+        use lppa_rng::RngCore;
+        use std::borrow::Cow;
+        let (_, sub, _) = setup();
+        let checksum = sub.checksum();
+        for seed in 0..16u64 {
+            let mut owned_rng = StdRng::seed_from_u64(seed);
+            let mut borrowed_rng = StdRng::seed_from_u64(seed);
+            let mut owned =
+                SubmissionMsg { bidder: 0, attempt: 1, checksum, submission: sub.clone() };
+            corrupt_in_flight(&mut owned, &mut owned_rng);
+            let mut borrowed =
+                SubmissionMsg { bidder: 0, attempt: 1, checksum, submission: Cow::Borrowed(&sub) };
+            corrupt_submission(borrowed.submission.to_mut(), &mut borrowed_rng);
+            assert!(matches!(borrowed.submission, Cow::Owned(_)), "the damage lands on a copy");
+            assert_ne!(owned.submission.checksum(), checksum, "seed {seed}: no damage");
+            assert_eq!(
+                encode_submission_frame(0, 1, &borrowed.submission),
+                encode_submission_frame(0, 1, &owned.submission),
+                "seed {seed}: different bytes damaged"
+            );
+            assert_eq!(borrowed_rng.next_u64(), owned_rng.next_u64(), "seed {seed}: RNG state");
+        }
+        assert_eq!(sub.checksum(), checksum, "the borrowed original is untouched");
     }
 
     #[test]

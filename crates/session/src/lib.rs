@@ -15,6 +15,12 @@
 //!   (quorum-configurable); malformed or manipulated submissions are
 //!   quarantined per bidder ([`quarantine::QuarantineReport`]) instead
 //!   of failing the round.
+//! * [`wire_round::CollectEngine`] — the one collect receiver. Typed
+//!   messages, simulated frames ([`wire_round::run_wire_round`]) and the
+//!   socket round in `lppa-net` all collect and commit through it; every
+//!   round then allocates through [`session::allocate_round`] and
+//!   settles through [`session::finish_round`], and a journal is read
+//!   back for recovery by [`session::recover_collect`].
 //! * [`ttp_link::TtpLink`] — the periodically-online TTP of §V.C.2 as
 //!   an availability schedule: charge requests queue while the TTP is
 //!   away, drain in batches on reconnect, retry with backoff, and
@@ -88,11 +94,11 @@ pub use frame::{
 pub use journal::{Journal, JournalEntry, Phase};
 pub use quarantine::{QuarantineReason, QuarantineReport};
 pub use session::{
-    derive_seeds, finish_round, AuctionSession, SessionConfig, SessionOutcome, SubmissionMsg,
+    allocate_round, derive_seeds, finish_round, recover_collect, AuctionSession, CommittedCollect,
+    SessionConfig, SessionOutcome, SubmissionMsg,
 };
 pub use transport::{FrameTransport, SimTransport, TransportStats};
 pub use ttp_link::{ChargeBackend, LocalTtp, TtpLink, TtpLinkConfig, TtpSchedule};
 pub use wire_round::{
-    encode_submission_frame, run_wire_round, BidderSendState, SubmissionAck, WireCollectEngine,
-    WireCollectResult,
+    encode_submission_frame, run_wire_round, BidderSendState, CollectEngine, SubmissionAck,
 };

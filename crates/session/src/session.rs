@@ -11,7 +11,9 @@
 //!   never arrives intact are quarantined as `MissedDeadline`; ragged or
 //!   truncated submissions are quarantined as `Rejected`. The phase
 //!   commits with whoever made the deadline, provided the configured
-//!   quorum is met.
+//!   quorum is met. One [`CollectEngine`](crate::wire_round::CollectEngine)
+//!   does all of this for typed messages, frames and the socket round;
+//!   typed messages borrow each bidder's submission.
 //! * **Allocate**: the greedy allocation runs over the accepted subset,
 //!   seeded from the session seed — independent of transport timing.
 //! * **Charge**: sealed winning bids drain through the [`TtpLink`] queue
@@ -27,14 +29,12 @@
 //! byte-identically, and the journal of an interrupted session can be
 //! [resumed](AuctionSession::resume) to the identical outcome.
 
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 
 use lppa::backend::RoundLedger;
-use lppa::protocol::{
-    charge_requests, conflict_graph, validate_submission, AuctioneerModel, SuSubmission,
-};
+use lppa::protocol::{charge_requests, conflict_graph, AuctioneerModel, SuSubmission};
 use lppa::psd::table::MaskedBidTable;
-use lppa::ttp::{ChargeDecision, Ttp};
+use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::LppaError;
 use lppa_auction::allocation::{greedy_allocate, Grant};
 use lppa_auction::bidder::BidderId;
@@ -44,11 +44,13 @@ use lppa_prefix::backend::BackendKind;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{RngCore, SeedableRng};
 
+use crate::chaos::corrupt_submission;
 use crate::fault::FaultConfig;
 use crate::journal::{Journal, JournalEntry, Phase};
 use crate::quarantine::{QuarantineReason, QuarantineReport};
-use crate::transport::{SimTransport, TransportStats};
+use crate::transport::TransportStats;
 use crate::ttp_link::{ChargeBackend, LocalTtp, TtpLink, TtpLinkConfig, TtpSchedule};
+use crate::wire_round::{simulate_round, CollectEngine};
 
 /// Tuning for one auction session.
 #[derive(Clone, Copy, Debug)]
@@ -101,9 +103,12 @@ impl Default for SessionConfig {
 }
 
 /// The wire message a bidder sends during collect: the submission plus
-/// the sender-computed transport checksum the receiver verifies.
+/// the sender-computed transport checksum the receiver verifies. `S`
+/// holds the payload: an owned [`SuSubmission`] by default, or the
+/// `Cow` the typed round sends, which borrows the bidder's submission
+/// until the link damages a copy.
 #[derive(Clone, Debug)]
-pub struct SubmissionMsg {
+pub struct SubmissionMsg<S = SuSubmission> {
     /// Original submission index.
     pub bidder: usize,
     /// 1-based send attempt.
@@ -111,7 +116,7 @@ pub struct SubmissionMsg {
     /// [`SuSubmission::checksum`] computed by the sender.
     pub checksum: u64,
     /// The submission payload.
-    pub submission: SuSubmission,
+    pub submission: S,
 }
 
 /// Everything a settled session reports.
@@ -198,12 +203,28 @@ pub fn derive_seeds(seed: u64) -> (u64, u64, u64) {
     (transport_seed, auction_seed, ttp_seed)
 }
 
-/// What the collect phase produced.
-struct CollectResult {
-    accepted: Vec<usize>,
-    quarantine: QuarantineReport,
-    stats: TransportStats,
-    end_tick: u64,
+/// A committed collect phase: what `CollectCommitted` records plus
+/// what the later phases read — the journal through that entry, the
+/// quarantine so far and the accepted submissions. A
+/// [`CollectEngine`] commits one, [`recover_collect`] reads one back
+/// from a journal, and [`finish_round`] settles one.
+#[derive(Debug)]
+pub struct CommittedCollect<S> {
+    /// The journal through the `CollectCommitted` entry.
+    pub journal: Journal,
+    /// Accepted original indices, ascending.
+    pub accepted: Vec<usize>,
+    /// The accepted submissions (or references to them), parallel to
+    /// `accepted`.
+    pub submissions: Vec<S>,
+    /// Seed of the allocation RNG.
+    pub auction_seed: u64,
+    /// Seed of the TTP link's failure RNG.
+    pub ttp_seed: u64,
+    /// The commit tick; allocation and charging start here.
+    pub tick: u64,
+    /// Per-bidder exclusions so far.
+    pub quarantine: QuarantineReport,
 }
 
 /// A fault-tolerant auction session over `ttp`.
@@ -221,7 +242,9 @@ impl<'a> AuctionSession<'a> {
 
     /// Runs one complete round from `seed`. The same `(submissions,
     /// seed, config)` triple always produces the identical outcome and
-    /// journal.
+    /// journal. Each send borrows its bidder's submission; the link
+    /// clones only a copy it damages, exactly as
+    /// [`crate::chaos::corrupt_in_flight`] would.
     ///
     /// # Errors
     ///
@@ -234,50 +257,20 @@ impl<'a> AuctionSession<'a> {
         submissions: &[SuSubmission],
         seed: u64,
     ) -> Result<SessionOutcome, LppaError> {
-        let (transport_seed, auction_seed, ttp_seed) = derive_seeds(seed);
-
-        let mut journal = Journal::new();
-        journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
-        journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
-
-        let collect = self.collect(submissions, transport_seed, &mut journal);
-        let required = self.config.min_accepted.max(1);
-        if collect.accepted.len() < required {
-            return Err(LppaError::QuorumNotReached { accepted: collect.accepted.len(), required });
-        }
-        journal.append(JournalEntry::CollectCommitted {
-            accepted: collect.accepted.clone(),
-            auction_seed,
-            ttp_seed,
-            tick: collect.end_tick,
-        });
-
-        self.finish(
+        simulate_round(
+            self.ttp,
+            &self.config,
             submissions,
-            collect.accepted,
-            auction_seed,
-            ttp_seed,
-            collect.end_tick,
-            journal,
-            collect.quarantine,
-            collect.stats,
+            seed,
+            |bidder, attempt, sub| SubmissionMsg {
+                bidder,
+                attempt,
+                checksum: sub.checksum(),
+                submission: Cow::Borrowed(sub),
+            },
+            |msg, rng| corrupt_submission(msg.submission.to_mut(), rng),
+            CollectEngine::ingest_msg,
         )
-    }
-
-    /// As [`Self::run`], but over *encoded bytes*: submissions travel
-    /// as framed wire messages through the simulated chaos link. See
-    /// [`crate::wire_round::run_wire_round`] — this is the in-process
-    /// reference for the socket transport's determinism gate.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_wire(
-        &self,
-        submissions: &[SuSubmission],
-        seed: u64,
-    ) -> Result<SessionOutcome, LppaError> {
-        crate::wire_round::run_wire_round(self.ttp, self.config, submissions, seed)
     }
 
     /// Recovers an interrupted session from its journal and replays the
@@ -300,217 +293,133 @@ impl<'a> AuctionSession<'a> {
         submissions: &[SuSubmission],
         journal: &Journal,
     ) -> Result<SessionOutcome, LppaError> {
-        let prefix = journal.prefix_through_collect().ok_or_else(|| LppaError::Internal {
-            what: "journal has no committed collect phase to resume from".into(),
+        let committed = recover_collect(journal, |accepted| {
+            accepted
+                .iter()
+                .map(|&i| {
+                    submissions.get(i).ok_or_else(|| LppaError::Internal {
+                        what: format!("journal accepts bidder {i} outside the submission set"),
+                    })
+                })
+                .collect()
         })?;
-        let (accepted, auction_seed, ttp_seed, tick) =
-            prefix.collect_snapshot().ok_or_else(|| LppaError::Internal {
-                what: "journal prefix lost its collect commitment".into(),
-            })?;
-        let accepted = accepted.to_vec();
-        if let Some(&bad) = accepted.iter().find(|&&i| i >= submissions.len()) {
-            return Err(LppaError::Internal {
-                what: format!("journal accepts bidder {bad} outside the submission set"),
-            });
-        }
-        let mut quarantine = QuarantineReport::new();
-        for (bidder, reason) in prefix.quarantine_events() {
-            quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
-        }
-        self.finish(
-            submissions,
-            accepted,
-            auction_seed,
-            ttp_seed,
-            tick,
-            prefix,
-            quarantine,
-            TransportStats::default(),
-        )
-    }
-
-    /// The collect phase: per-bidder submission over the faulty link
-    /// with retry/backoff and a hard deadline.
-    fn collect(
-        &self,
-        submissions: &[SuSubmission],
-        transport_seed: u64,
-        journal: &mut Journal,
-    ) -> CollectResult {
         let n = submissions.len();
-        let mut transport: SimTransport<SubmissionMsg> =
-            SimTransport::new(self.config.faults, transport_seed);
-        let mut next_send = vec![0u64; n];
-        let mut attempts = vec![0u32; n];
-        let mut corrupt_copies = vec![0u32; n];
-        let mut done = vec![false; n];
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut quarantine = QuarantineReport::new();
-
-        for tick in 0..=self.config.collect_deadline {
-            // Bidders (re)send on their backoff schedule.
-            for (i, sub) in submissions.iter().enumerate() {
-                if !done[i] && tick >= next_send[i] && attempts[i] <= self.config.max_retries {
-                    attempts[i] += 1;
-                    let msg = SubmissionMsg {
-                        bidder: i,
-                        attempt: attempts[i],
-                        checksum: sub.checksum(),
-                        submission: sub.clone(),
-                    };
-                    transport.send(tick, msg, crate::chaos::corrupt_in_flight);
-                    let backoff =
-                        self.config.retry_backoff.max(1) << u64::from(attempts[i] - 1).min(16);
-                    next_send[i] = tick + backoff;
-                }
-            }
-            // The auctioneer processes this tick's deliveries.
-            for msg in transport.deliver(tick) {
-                let i = msg.bidder;
-                if i >= n {
-                    // A corrupted header naming a nonexistent bidder:
-                    // nothing to quarantine, nothing to poison.
-                    continue;
-                }
-                if done[i] {
-                    journal.append(JournalEntry::DuplicateIgnored { bidder: i, tick });
-                    continue;
-                }
-                if msg.submission.checksum() != msg.checksum {
-                    corrupt_copies[i] += 1;
-                    journal.append(JournalEntry::CorruptDiscarded { bidder: i, tick });
-                    continue;
-                }
-                match validate_submission(&msg.submission, self.ttp) {
-                    Ok(()) => {
-                        done[i] = true;
-                        accepted.push(i);
-                        journal.append(JournalEntry::SubmissionAccepted {
-                            bidder: i,
-                            tick,
-                            attempt: msg.attempt,
-                        });
-                    }
-                    Err(cause) => {
-                        // A structurally-bad submission that passed the
-                        // checksum is bad at the *sender* — retries would
-                        // fail identically, so quarantine now.
-                        done[i] = true;
-                        let reason = QuarantineReason::Rejected { cause };
-                        journal.append(JournalEntry::Quarantined {
-                            bidder: i,
-                            reason: reason.to_string(),
-                        });
-                        quarantine.insert(i, reason);
-                    }
-                }
-            }
-        }
-        transport.flush();
-        for i in 0..n {
-            if !done[i] {
-                let reason = QuarantineReason::MissedDeadline {
-                    attempts: attempts[i],
-                    corrupt_copies: corrupt_copies[i],
-                };
-                journal.append(JournalEntry::Quarantined { bidder: i, reason: reason.to_string() });
-                quarantine.insert(i, reason);
-            }
-        }
-        accepted.sort_unstable();
-        CollectResult {
-            accepted,
-            quarantine,
-            stats: transport.stats,
-            end_tick: self.config.collect_deadline,
-        }
-    }
-
-    /// Allocate + Charge + Settle over a committed accepted set. Shared
-    /// by fresh runs and journal recovery — both paths are driven only
-    /// by `(accepted, auction_seed, ttp_seed, start_tick)`, which is
-    /// exactly what `CollectCommitted` records.
-    #[allow(clippy::too_many_arguments)] // the CollectCommitted tuple, spelled out
-    fn finish(
-        &self,
-        submissions: &[SuSubmission],
-        accepted: Vec<usize>,
-        auction_seed: u64,
-        ttp_seed: u64,
-        start_tick: u64,
-        journal: Journal,
-        quarantine: QuarantineReport,
-        stats: TransportStats,
-    ) -> Result<SessionOutcome, LppaError> {
-        let compact: Vec<&SuSubmission> = accepted.iter().map(|&i| &submissions[i]).collect();
-        finish_round(
-            &self.config,
-            LocalTtp(self.ttp),
-            submissions.len(),
-            accepted,
-            &compact,
-            auction_seed,
-            ttp_seed,
-            start_tick,
-            journal,
-            quarantine,
-            stats,
-        )
+        finish_round(&self.config, LocalTtp(self.ttp), n, committed, TransportStats::default())
     }
 }
 
-/// Allocate + Charge + Settle over a committed accepted set, charging
-/// through any [`ChargeBackend`].
-///
-/// This is the shared tail of every driver: the in-process
-/// [`AuctionSession`] (typed or wire-framed collect) calls it with
-/// [`LocalTtp`]; the socket auctioneer calls it with a remote TTP
-/// connection. `accepted_submissions` is *compact* — parallel to
-/// `accepted`, holding only the submissions that survived collect —
-/// because a networked auctioneer never materializes the ones that
-/// didn't. It may hold the submissions or references to them: the
-/// round reads them in place. `n_bidders` sizes the outcome's bidder
-/// space (original indices).
+/// Reads an interrupted session's journal back into its committed
+/// collect phase: the prefix through `CollectCommitted`, the commitment
+/// it records, and every journalled quarantine as
+/// [`QuarantineReason::Recovered`]. `pick` turns the accepted set into
+/// the accepted submissions; it is where a caller checks the journal
+/// against the submissions it holds.
 ///
 /// # Errors
 ///
-/// [`LppaError::Internal`] if `accepted` and `accepted_submissions`
+/// [`LppaError::Internal`] if the journal never committed collect;
+/// whatever `pick` returns.
+pub fn recover_collect<S>(
+    journal: &Journal,
+    pick: impl FnOnce(&[usize]) -> Result<Vec<S>, LppaError>,
+) -> Result<CommittedCollect<S>, LppaError> {
+    let (Some(prefix), Some((accepted, auction_seed, ttp_seed, tick))) =
+        (journal.prefix_through_collect(), journal.collect_snapshot())
+    else {
+        return Err(LppaError::Internal {
+            what: "journal has no committed collect phase to resume from".into(),
+        });
+    };
+    let submissions = pick(accepted)?;
+    let mut quarantine = QuarantineReport::new();
+    for (bidder, reason) in prefix.quarantine_events() {
+        quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
+    }
+    Ok(CommittedCollect {
+        journal: prefix,
+        accepted: accepted.to_vec(),
+        submissions,
+        auction_seed,
+        ttp_seed,
+        tick,
+        quarantine,
+    })
+}
+
+/// The Allocate phase over committed submissions: the conflict graph,
+/// the greedy grants (compact ids, indexing into
+/// `accepted_submissions`) and their charge requests, ranked under
+/// [`SessionConfig::backend`] and [`SessionConfig::model`], with
+/// tie-breaks drawn from `auction_seed`. Every driver allocates here:
+/// [`finish_round`], the socket auctioneer's mid-charge kill path and
+/// the wire-cost accounting.
+///
+/// # Errors
+///
+/// [`LppaError::ChannelCountMismatch`] or [`LppaError::InvalidConfig`]
+/// from the bid table; [`LppaError::Internal`] for a grant the table
+/// cannot resolve (impossible for validated submissions).
+pub fn allocate_round<S: Borrow<SuSubmission> + Sync>(
+    config: &SessionConfig,
+    accepted_submissions: &[S],
+    auction_seed: u64,
+) -> Result<(ConflictGraph, Vec<Grant>, Vec<ChargeRequest>), LppaError> {
+    let conflicts = conflict_graph(accepted_submissions);
+    let bids: Vec<_> = accepted_submissions.iter().map(|s| &s.borrow().bids).collect();
+    let table = MaskedBidTable::collect_with(bids, config.backend, config.model)?;
+    let grants = greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(auction_seed));
+    let requests = charge_requests(&table, &grants)?;
+    Ok((conflicts, grants, requests))
+}
+
+/// Allocate + Charge + Settle over a committed collect phase, charging
+/// through any [`ChargeBackend`].
+///
+/// This is the shared tail of every driver: the in-process rounds and
+/// journal recovery call it with [`LocalTtp`]; the socket auctioneer
+/// calls it with a remote TTP connection. The committed submissions are
+/// *compact* — parallel to `accepted`, holding only the submissions that
+/// survived collect — because a networked auctioneer never materializes
+/// the ones that didn't. They may be the submissions or references to
+/// them: the round reads them in place. `n_bidders` sizes the outcome's
+/// bidder space (original indices).
+///
+/// # Errors
+///
+/// [`LppaError::Internal`] if the accepted indices and submissions
 /// disagree in length, or for table inconsistencies (impossible for
 /// validated submissions).
-#[allow(clippy::too_many_arguments)] // the CollectCommitted tuple, spelled out
 pub fn finish_round<B, S>(
     config: &SessionConfig,
     backend: B,
     n_bidders: usize,
-    accepted: Vec<usize>,
-    accepted_submissions: &[S],
-    auction_seed: u64,
-    ttp_seed: u64,
-    start_tick: u64,
-    mut journal: Journal,
-    mut quarantine: QuarantineReport,
+    committed: CommittedCollect<S>,
     stats: TransportStats,
 ) -> Result<SessionOutcome, LppaError>
 where
     B: ChargeBackend,
     S: Borrow<SuSubmission> + Sync,
 {
-    if accepted.len() != accepted_submissions.len() {
+    let CommittedCollect {
+        mut journal,
+        accepted,
+        submissions,
+        auction_seed,
+        ttp_seed,
+        tick: start_tick,
+        mut quarantine,
+    } = committed;
+    if accepted.len() != submissions.len() {
         return Err(LppaError::Internal {
             what: format!(
                 "finish_round: {} accepted indices but {} submissions",
                 accepted.len(),
-                accepted_submissions.len()
+                submissions.len()
             ),
         });
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Allocate, tick: start_tick });
-    let conflicts = conflict_graph(accepted_submissions);
-    let bids: Vec<_> = accepted_submissions.iter().map(|s| &s.borrow().bids).collect();
-    let table = MaskedBidTable::collect_with(bids, config.backend, config.model)?;
-    let compact_grants =
-        greedy_allocate(&table, &conflicts, &mut StdRng::seed_from_u64(auction_seed));
-    let requests = charge_requests(&table, &compact_grants)?;
+    let (conflicts, compact_grants, requests) = allocate_round(config, &submissions, auction_seed)?;
     let grants: Vec<Grant> = compact_grants
         .iter()
         .map(|g| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g })
@@ -520,7 +429,7 @@ where
     // session replays to the byte-identical root.
     let mut ledger = RoundLedger::for_backend(config.backend);
     if let Some(ledger) = ledger.as_mut() {
-        for (&original, submission) in accepted.iter().zip(accepted_submissions) {
+        for (&original, submission) in accepted.iter().zip(&submissions) {
             ledger.submission(original, submission.borrow().checksum());
         }
     }

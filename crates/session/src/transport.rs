@@ -128,9 +128,10 @@ impl<T: Clone> SimTransport<T> {
     }
 }
 
-/// A transport that moves opaque encoded frames — the abstraction both
-/// the in-process [`SimTransport`] and the real socket link implement,
-/// so the wire-format session logic is blind to which one carries it.
+/// A transport that moves opaque encoded frames. `SimTransport<Vec<u8>>`
+/// is its one implementation: the socket auctioneer in `lppa-net` runs
+/// every frame it receives through one as its seeded chaos ingress, so
+/// the collect engine downstream sees the simulated round's schedule.
 ///
 /// Ticks are the session clock: a frame sent at `now` becomes eligible
 /// for delivery at `now + 1` at the earliest. Implementations own their

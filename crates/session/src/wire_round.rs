@@ -1,39 +1,44 @@
-//! The wire-framed collect engine and the simulated wire round.
+//! The collect engine and the simulated rounds that drive it.
 //!
-//! The typed [`crate::session::AuctionSession::run`] moves
-//! [`crate::session::SubmissionMsg`] structs through the chaos link —
-//! faithful to the protocol, but nothing like a network. This module
-//! runs the same round over *encoded bytes*: bidders serialize their
-//! submissions with [`lppa::wire`], wrap them in [`crate::frame`]
-//! frames, and push them through any [`FrameTransport`]. The
-//! auctioneer's side is [`WireCollectEngine`] — decode, checksum-check,
-//! validate, quarantine — and it is deliberately transport-blind: the
-//! in-process simulation ([`run_wire_round`]) and the real socket round
-//! in `lppa-net` feed it the same bytes in the same order, which is the
-//! whole sim-vs-socket equivalence argument. Whatever the engine
-//! decides is journalled exactly like the typed path, so the journal
-//! replay and resume machinery applies unchanged.
+//! Every session round collects through one [`CollectEngine`]: it
+//! checksums, validates, quarantines and journals each delivered copy
+//! of a submission, and it commits the phase. What a delivery is
+//! differs by driver. The typed [`crate::session::AuctionSession::run`]
+//! moves [`SubmissionMsg`]s that borrow each bidder's submission;
+//! [`run_wire_round`] moves encoded frames (the [`lppa::wire`] payload
+//! in a [`crate::frame`] header); the socket auctioneer in `lppa-net`
+//! feeds the engine the frames it received, in the simulation's order,
+//! which is the whole sim-vs-socket equivalence argument. Senders run
+//! on [`BidderSendState`], and both in-process rounds share one driver,
+//! so the typed and framed rounds differ only in how a send is
+//! packaged, how the link damages a copy and which ingest receives it.
+
+use std::borrow::Borrow;
 
 use lppa::protocol::{validate_submission_with, SuSubmission};
 use lppa::ttp::Ttp;
 use lppa::wire::{decode_submission, encode_submission};
 use lppa::{LppaConfig, LppaError};
+use lppa_rng::rngs::StdRng;
 
+use crate::chaos::corrupt_frame;
 use crate::frame::{decode_frame_exact, encode_frame, FrameKind};
 use crate::journal::{Journal, JournalEntry, Phase};
 use crate::quarantine::{QuarantineReason, QuarantineReport};
-use crate::session::{derive_seeds, finish_round, SessionConfig, SessionOutcome};
-use crate::transport::{FrameTransport, SimTransport};
+use crate::session::{
+    derive_seeds, finish_round, CommittedCollect, SessionConfig, SessionOutcome, SubmissionMsg,
+};
+use crate::transport::SimTransport;
 use crate::ttp_link::LocalTtp;
 
-/// One bidder's retry/backoff bookkeeping during a wire-framed collect.
+/// One bidder's retry/backoff bookkeeping during collect.
 ///
-/// This is the *sender's* state machine, split out of the collect loop
-/// so a real bidder process can run it against its own clock: ask
-/// [`Self::should_send`] once per tick, transmit when it says so, and
-/// [`Self::mark_done`] when the auctioneer acknowledges (accept *or*
-/// reject — both end the resend loop). The schedule it produces is
-/// byte-for-byte the one the typed collect loop runs inline.
+/// This is the *sender's* state machine, kept out of the collect
+/// engine so a real bidder process can run it against its own clock:
+/// ask [`Self::should_send`] once per tick, transmit when it says so,
+/// and [`Self::mark_done`] when the auctioneer acknowledges (accept
+/// *or* reject — both end the resend loop). Every simulated sender and
+/// the socket auctioneer's mirrors run this one schedule.
 #[derive(Clone, Debug, Default)]
 pub struct BidderSendState {
     next_send: u64,
@@ -65,19 +70,14 @@ impl BidderSendState {
         self.done = true;
     }
 
-    /// Whether the auctioneer has settled this bidder.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Send attempts made so far.
     pub fn attempts(&self) -> u32 {
         self.attempts
     }
 }
 
-/// The verdict [`WireCollectEngine::ingest`] asks the driver to relay
-/// back to a bidder. Both verdicts end that bidder's resend loop.
+/// The verdict [`CollectEngine`] asks the driver to relay back to a
+/// bidder. Both verdicts end that bidder's resend loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubmissionAck {
     /// Original submission index.
@@ -86,54 +86,166 @@ pub struct SubmissionAck {
     pub accepted: bool,
 }
 
-/// What a closed wire collect hands to [`finish_round`].
-#[derive(Debug)]
-pub struct WireCollectResult {
-    /// Accepted original indices, ascending.
-    pub accepted: Vec<usize>,
-    /// The accepted submissions, parallel to `accepted`.
-    pub accepted_submissions: Vec<SuSubmission>,
-    /// Per-bidder exclusions.
-    pub quarantine: QuarantineReport,
-}
-
-/// The auctioneer's collect phase over encoded frames.
+/// The auctioneer's collect phase: one receiver for every delivery.
 ///
-/// Feed it every arriving frame in delivery order via
-/// [`Self::ingest`]; it decodes, checksums, validates and journals with
-/// exactly the typed collect loop's per-bidder semantics, plus one new
+/// Feed it every arriving copy in delivery order, as a frame through
+/// [`Self::ingest`] or as a typed message through [`Self::ingest_msg`].
+/// Each copy then takes the same per-bidder steps: a copy naming no
+/// known bidder is ignored; one for a settled bidder is journalled as
+/// [`JournalEntry::DuplicateIgnored`]; a checksum mismatch as
+/// [`JournalEntry::CorruptDiscarded`] (a retransmission may still
+/// cover it); a copy that fails to materialize or validate quarantines
+/// its sender as `Rejected`; anything else is accepted. Frames add one
 /// outcome: bytes that don't decode to a submission at all are
-/// journalled as [`JournalEntry::FrameRejected`] — a frame so damaged
-/// it can't even be attributed to a bidder.
+/// journalled as [`JournalEntry::FrameRejected`], since they can't even
+/// be attributed to a bidder. [`Self::commit`] closes the phase.
+///
+/// `S` is what the engine keeps of an accepted copy: the decoded
+/// [`SuSubmission`] for frames, or for typed messages their payload,
+/// which in the typed round borrows the bidder's submission.
 #[derive(Debug)]
-pub struct WireCollectEngine {
-    n: usize,
+pub struct CollectEngine<S> {
     n_channels: usize,
     config: LppaConfig,
     done: Vec<bool>,
     corrupt_copies: Vec<u32>,
-    accepted: Vec<usize>,
-    submissions: Vec<Option<SuSubmission>>,
+    accepted: Vec<(usize, S)>,
     quarantine: QuarantineReport,
 }
 
-impl WireCollectEngine {
+impl<S: Borrow<SuSubmission>> CollectEngine<S> {
     /// An engine for a round of `n_bidders` bidders over `n_channels`
     /// channels under the announced public `config` — everything
     /// validation needs, no TTP keys required.
     pub fn new(n_bidders: usize, n_channels: usize, config: LppaConfig) -> Self {
         Self {
-            n: n_bidders,
             n_channels,
             config,
             done: vec![false; n_bidders],
             corrupt_copies: vec![0; n_bidders],
             accepted: Vec::new(),
-            submissions: vec![None; n_bidders],
             quarantine: QuarantineReport::new(),
         }
     }
 
+    /// Processes one delivered typed message at `tick`. Returns the ack
+    /// to relay when the message settles a bidder (accepted or
+    /// rejected); `None` for a corrupt copy, a duplicate or an unknown
+    /// bidder.
+    pub fn ingest_msg(
+        &mut self,
+        tick: u64,
+        msg: SubmissionMsg<S>,
+        journal: &mut Journal,
+    ) -> Option<SubmissionAck> {
+        let SubmissionMsg { bidder, attempt, checksum, submission } = msg;
+        self.settle(tick, bidder, journal, || {
+            (submission.borrow().checksum() == checksum).then_some(Ok((submission, attempt)))
+        })
+    }
+
+    /// The per-copy step behind both ingests. `copy` runs only for a
+    /// known, unsettled bidder: `None` is a checksum mismatch, `Some`
+    /// the materialized submission and its attempt number (or why it
+    /// would not materialize).
+    fn settle(
+        &mut self,
+        tick: u64,
+        bidder: usize,
+        journal: &mut Journal,
+        copy: impl FnOnce() -> Option<Result<(S, u32), LppaError>>,
+    ) -> Option<SubmissionAck> {
+        if bidder >= self.done.len() {
+            // A corrupted header naming a nonexistent bidder: nothing to
+            // quarantine, nothing to poison.
+            return None;
+        }
+        if self.done[bidder] {
+            journal.append(JournalEntry::DuplicateIgnored { bidder, tick });
+            return None;
+        }
+        let Some(copy) = copy() else {
+            self.corrupt_copies[bidder] += 1;
+            journal.append(JournalEntry::CorruptDiscarded { bidder, tick });
+            return None;
+        };
+        // Settled either way: a structurally-bad submission that passed
+        // the checksum is bad at the *sender*, and retries would fail
+        // identically.
+        self.done[bidder] = true;
+        let checked = copy.and_then(|(submission, attempt)| {
+            validate_submission_with(submission.borrow(), self.n_channels, &self.config)
+                .map(|()| (submission, attempt))
+        });
+        match checked {
+            Ok((submission, attempt)) => {
+                journal.append(JournalEntry::SubmissionAccepted { bidder, tick, attempt });
+                self.accepted.push((bidder, submission));
+                Some(SubmissionAck { bidder, accepted: true })
+            }
+            Err(cause) => {
+                let reason = QuarantineReason::Rejected { cause };
+                journal.append(JournalEntry::Quarantined { bidder, reason: reason.to_string() });
+                self.quarantine.insert(bidder, reason);
+                Some(SubmissionAck { bidder, accepted: false })
+            }
+        }
+    }
+
+    /// Closes the phase at the deadline and commits it: quarantines
+    /// every unsettled bidder as `MissedDeadline` (with the attempts
+    /// its `senders` entry counted), checks the quorum, and journals
+    /// `CollectCommitted` with the seeds [`derive_seeds`] draws from the
+    /// session `seed`, at tick [`SessionConfig::collect_deadline`].
+    ///
+    /// # Errors
+    ///
+    /// [`LppaError::QuorumNotReached`] if fewer than
+    /// [`SessionConfig::min_accepted`] submissions were accepted.
+    pub fn commit(
+        mut self,
+        senders: &[BidderSendState],
+        config: &SessionConfig,
+        seed: u64,
+        mut journal: Journal,
+    ) -> Result<CommittedCollect<S>, LppaError> {
+        for (bidder, &done) in self.done.iter().enumerate() {
+            if !done {
+                let reason = QuarantineReason::MissedDeadline {
+                    attempts: senders.get(bidder).map_or(0, BidderSendState::attempts),
+                    corrupt_copies: self.corrupt_copies[bidder],
+                };
+                journal.append(JournalEntry::Quarantined { bidder, reason: reason.to_string() });
+                self.quarantine.insert(bidder, reason);
+            }
+        }
+        let required = config.min_accepted.max(1);
+        if self.accepted.len() < required {
+            return Err(LppaError::QuorumNotReached { accepted: self.accepted.len(), required });
+        }
+        self.accepted.sort_unstable_by_key(|&(bidder, _)| bidder);
+        let (accepted, submissions): (Vec<usize>, Vec<S>) = self.accepted.into_iter().unzip();
+        let (_, auction_seed, ttp_seed) = derive_seeds(seed);
+        let tick = config.collect_deadline;
+        journal.append(JournalEntry::CollectCommitted {
+            accepted: accepted.clone(),
+            auction_seed,
+            ttp_seed,
+            tick,
+        });
+        Ok(CommittedCollect {
+            journal,
+            accepted,
+            submissions,
+            auction_seed,
+            ttp_seed,
+            tick,
+            quarantine: self.quarantine,
+        })
+    }
+}
+
+impl CollectEngine<SuSubmission> {
     /// Processes one delivered frame at `tick`. Returns the ack to
     /// relay when the frame settles a bidder (accepted or rejected);
     /// `None` for everything that a retransmission may still cover
@@ -145,86 +257,20 @@ impl WireCollectEngine {
         bytes: &[u8],
         journal: &mut Journal,
     ) -> Option<SubmissionAck> {
-        let Ok(frame) = decode_frame_exact(bytes) else {
-            journal.append(JournalEntry::FrameRejected { tick });
-            return None;
-        };
-        if frame.kind != FrameKind::Submission {
-            journal.append(JournalEntry::FrameRejected { tick });
-            return None;
-        }
-        let Ok(view) = decode_submission(frame.payload) else {
-            journal.append(JournalEntry::FrameRejected { tick });
-            return None;
-        };
-        let i = view.bidder();
-        if i >= self.n {
-            // A corrupted header naming a nonexistent bidder: nothing to
-            // quarantine, nothing to poison.
-            return None;
-        }
-        if self.done[i] {
-            journal.append(JournalEntry::DuplicateIgnored { bidder: i, tick });
-            return None;
-        }
-        if view.computed_checksum() != view.declared_checksum() {
-            self.corrupt_copies[i] += 1;
-            journal.append(JournalEntry::CorruptDiscarded { bidder: i, tick });
-            return None;
-        }
-        let (submission, attempt) = match view.materialize() {
-            Ok((submission, attempt, _)) => (submission, attempt),
-            Err(cause) => return Some(self.reject(i, cause, journal)),
-        };
-        match validate_submission_with(&submission, self.n_channels, &self.config) {
-            Ok(()) => {
-                self.done[i] = true;
-                self.accepted.push(i);
-                journal.append(JournalEntry::SubmissionAccepted { bidder: i, tick, attempt });
-                self.submissions[i] = Some(submission);
-                Some(SubmissionAck { bidder: i, accepted: true })
+        let view = match decode_frame_exact(bytes) {
+            Ok(frame) if frame.kind == FrameKind::Submission => {
+                decode_submission(frame.payload).ok()
             }
-            Err(cause) => Some(self.reject(i, cause, journal)),
-        }
-    }
-
-    /// Quarantines bidder `i`: a structurally-bad submission that passed
-    /// the checksum is bad at the *sender* — retries would fail
-    /// identically.
-    fn reject(&mut self, i: usize, cause: LppaError, journal: &mut Journal) -> SubmissionAck {
-        self.done[i] = true;
-        let reason = QuarantineReason::Rejected { cause };
-        journal.append(JournalEntry::Quarantined { bidder: i, reason: reason.to_string() });
-        self.quarantine.insert(i, reason);
-        SubmissionAck { bidder: i, accepted: false }
-    }
-
-    /// Closes the phase at the deadline: quarantines every unsettled
-    /// bidder as `MissedDeadline` (with the send `attempts` counted by
-    /// the driver's [`BidderSendState`] mirrors) and sorts the accepted
-    /// set.
-    pub fn close(mut self, attempts: &[u32], journal: &mut Journal) -> WireCollectResult {
-        for i in 0..self.n {
-            if !self.done[i] {
-                let reason = QuarantineReason::MissedDeadline {
-                    attempts: attempts.get(i).copied().unwrap_or(0),
-                    corrupt_copies: self.corrupt_copies[i],
-                };
-                journal.append(JournalEntry::Quarantined { bidder: i, reason: reason.to_string() });
-                self.quarantine.insert(i, reason);
-            }
-        }
-        self.accepted.sort_unstable();
-        let accepted_submissions = self
-            .accepted
-            .iter()
-            .map(|&i| self.submissions[i].take().expect("accepted bidders stored a submission"))
-            .collect();
-        WireCollectResult {
-            accepted: self.accepted,
-            accepted_submissions,
-            quarantine: self.quarantine,
-        }
+            _ => None,
+        };
+        let Some(view) = view else {
+            journal.append(JournalEntry::FrameRejected { tick });
+            return None;
+        };
+        self.settle(tick, view.bidder(), journal, || {
+            (view.computed_checksum() == view.declared_checksum())
+                .then(|| view.materialize().map(|(submission, attempt, _)| (submission, attempt)))
+        })
     }
 }
 
@@ -251,55 +297,59 @@ pub fn run_wire_round(
     submissions: &[SuSubmission],
     seed: u64,
 ) -> Result<SessionOutcome, LppaError> {
-    let (transport_seed, auction_seed, ttp_seed) = derive_seeds(seed);
+    simulate_round(
+        ttp,
+        &config,
+        submissions,
+        seed,
+        encode_submission_frame,
+        |frame, rng| corrupt_frame(frame, rng),
+        |engine: &mut CollectEngine<SuSubmission>, tick, frame, journal| {
+            engine.ingest(tick, &frame, journal)
+        },
+    )
+}
+
+/// The one in-process round, behind [`run_wire_round`] and
+/// [`crate::session::AuctionSession::run`]: bidders send on their
+/// [`BidderSendState`] schedules through a seeded [`SimTransport`] of
+/// `M`s, one [`CollectEngine`] receives and commits, and
+/// [`finish_round`] settles through the in-process TTP. `package`
+/// builds a send, `corrupt` is the link's damage model and `ingest`
+/// hands a delivery to the engine.
+pub(crate) fn simulate_round<'s, M: Clone, S: Borrow<SuSubmission> + Sync>(
+    ttp: &Ttp,
+    config: &SessionConfig,
+    submissions: &'s [SuSubmission],
+    seed: u64,
+    package: impl Fn(usize, u32, &'s SuSubmission) -> M,
+    mut corrupt: impl FnMut(&mut M, &mut StdRng),
+    ingest: impl Fn(&mut CollectEngine<S>, u64, M, &mut Journal) -> Option<SubmissionAck>,
+) -> Result<SessionOutcome, LppaError> {
+    let (transport_seed, _, _) = derive_seeds(seed);
     let n = submissions.len();
     let mut journal = Journal::new();
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
 
-    let mut link: SimTransport<Vec<u8>> = SimTransport::new(config.faults, transport_seed);
+    let mut link = SimTransport::new(config.faults, transport_seed);
     let mut senders = vec![BidderSendState::new(); n];
-    let mut engine = WireCollectEngine::new(n, ttp.n_channels(), *ttp.config());
-
+    let mut engine = CollectEngine::new(n, ttp.n_channels(), *ttp.config());
     for tick in 0..=config.collect_deadline {
         for (i, sub) in submissions.iter().enumerate() {
-            if let Some(attempt) = senders[i].should_send(tick, &config) {
-                link.send_frame(tick, encode_submission_frame(i, attempt, sub));
+            if let Some(attempt) = senders[i].should_send(tick, config) {
+                link.send(tick, package(i, attempt, sub), &mut corrupt);
             }
         }
-        for bytes in link.poll_frames(tick) {
-            if let Some(ack) = engine.ingest(tick, &bytes, &mut journal) {
+        for msg in link.deliver(tick) {
+            if let Some(ack) = ingest(&mut engine, tick, msg, &mut journal) {
                 senders[ack.bidder].mark_done();
             }
         }
     }
-    link.flush_frames();
-    let attempts: Vec<u32> = senders.iter().map(BidderSendState::attempts).collect();
-    let collected = engine.close(&attempts, &mut journal);
-
-    let required = config.min_accepted.max(1);
-    if collected.accepted.len() < required {
-        return Err(LppaError::QuorumNotReached { accepted: collected.accepted.len(), required });
-    }
-    journal.append(JournalEntry::CollectCommitted {
-        accepted: collected.accepted.clone(),
-        auction_seed,
-        ttp_seed,
-        tick: config.collect_deadline,
-    });
-    finish_round(
-        &config,
-        LocalTtp(ttp),
-        n,
-        collected.accepted,
-        &collected.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        config.collect_deadline,
-        journal,
-        collected.quarantine,
-        link.frame_stats(),
-    )
+    link.flush();
+    let committed = engine.commit(&senders, config, seed, journal)?;
+    finish_round(config, LocalTtp(ttp), n, committed, link.stats)
 }
 
 #[cfg(test)]
@@ -379,7 +429,8 @@ mod tests {
             }
         }
         // Backoff: 2 << 0, 2 << 1, 2 << 2 → sends at 0, 2, 6, then the
-        // attempt cap (max_retries + 1 total sends) stops the loop.
+        // attempt cap (max_retries + 1 total sends) stops the loop. Every
+        // simulated sender, typed or framed, runs this schedule.
         assert_eq!(sent, vec![(0, 1), (2, 2), (6, 3)]);
         let mut done = BidderSendState::new();
         assert!(done.should_send(0, &config).is_some());
@@ -392,7 +443,7 @@ mod tests {
     fn engine_rejects_garbage_and_quarantines_bad_senders() {
         let (ttp, submissions) = setup(2);
         let mut journal = Journal::new();
-        let mut engine = WireCollectEngine::new(2, ttp.n_channels(), *ttp.config());
+        let mut engine = CollectEngine::new(2, ttp.n_channels(), *ttp.config());
 
         // Pure garbage: frame-rejected, no ack.
         assert!(engine.ingest(1, &[0xFF; 40], &mut journal).is_none());
@@ -414,11 +465,19 @@ mod tests {
         let dup = encode_submission_frame(0, 3, &submissions[0]);
         assert!(engine.ingest(3, &dup, &mut journal).is_none());
 
-        let result = engine.close(&[2, 0], &mut journal);
-        assert_eq!(result.accepted, vec![0]);
-        assert_eq!(result.accepted_submissions.len(), 1);
-        assert!(result.quarantine.contains(1), "silent bidder quarantined at close");
-        let rendered = journal.to_string();
+        let mut senders = vec![BidderSendState::new(); 2];
+        let config = SessionConfig::default();
+        senders[0].should_send(0, &config);
+        senders[0].should_send(2, &config);
+        let committed = engine.commit(&senders, &config, 5, journal).unwrap();
+        assert_eq!(committed.accepted, vec![0]);
+        assert_eq!(committed.submissions.len(), 1);
+        assert!(committed.quarantine.contains(1), "silent bidder quarantined at close");
+        assert_eq!(
+            (committed.auction_seed, committed.ttp_seed),
+            (derive_seeds(5).1, derive_seeds(5).2)
+        );
+        let rendered = committed.journal.to_string();
         assert!(rendered.contains("FrameRejected"), "{rendered}");
         assert!(rendered.contains("CorruptDiscarded"), "{rendered}");
         assert!(rendered.contains("DuplicateIgnored"), "{rendered}");

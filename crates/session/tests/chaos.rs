@@ -9,12 +9,14 @@ use lppa::protocol::{build_submissions, SuSubmission};
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::{LppaConfig, LppaError, Ttp};
 use lppa_auction::bidder::{BidderId, Location};
+use lppa_prefix::backend::BackendKind;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{Rng, SeedableRng};
 use lppa_session::chaos::{forge_presented_bid, truncate_point};
 use lppa_session::fault::FaultConfig;
 use lppa_session::session::{AuctionSession, SessionConfig, SessionOutcome};
 use lppa_session::ttp_link::{TtpLinkConfig, TtpSchedule};
+use lppa_session::{run_wire_round, JournalEntry};
 
 /// A TTP, a fleet of genuine submissions, and the RNG that built them.
 fn fleet(n_bidders: usize, n_channels: usize, seed: u64) -> (Ttp, Vec<SuSubmission>, StdRng) {
@@ -279,6 +281,22 @@ fn interrupted_session_resumes_to_the_identical_outcome() {
 }
 
 #[test]
+fn resume_refuses_a_commit_naming_an_unknown_bidder() {
+    let (ttp, submissions, _) = fleet(6, 2, 9);
+    let session = AuctionSession::new(&ttp, SessionConfig::default());
+    let original = session.run(&submissions, 3).unwrap();
+    let mut forged = lppa_session::Journal::new();
+    for entry in original.journal.prefix_through_collect().unwrap().entries() {
+        let mut entry = entry.clone();
+        if let JournalEntry::CollectCommitted { accepted, .. } = &mut entry {
+            accepted.push(submissions.len());
+        }
+        forged.append(entry);
+    }
+    assert!(matches!(session.resume(&submissions, &forged), Err(LppaError::Internal { .. })));
+}
+
+#[test]
 fn fault_matrix_never_panics_and_keeps_invariants() {
     let (ttp, submissions, _) = fleet(7, 2, 8);
     let profiles = [
@@ -310,5 +328,80 @@ fn fault_matrix_never_panics_and_keeps_invariants() {
                 }
             }
         }
+    }
+}
+
+/// The lossy profile and fleet the golden pins below run: every link
+/// fault at once, a TTP that flaps through the charge phase, a ragged
+/// sender (bidder 3) and a forged price (bidder 7).
+fn pinned_round() -> (Ttp, Vec<SuSubmission>, SessionConfig) {
+    let (ttp, mut submissions, mut rng) = fleet(12, 3, 2);
+    truncate_point(&mut submissions[3], 1, 2).unwrap();
+    forge_presented_bid(&mut submissions[7], &ttp, 0, 110, &mut rng).unwrap();
+    let config = SessionConfig {
+        faults: FaultConfig {
+            drop: 0.3,
+            duplicate: 0.25,
+            corrupt: 0.2,
+            delay: 0.4,
+            max_delay: 3,
+            reorder: true,
+        },
+        collect_deadline: 24,
+        retry_backoff: 2,
+        max_retries: 5,
+        ttp_schedule: TtpSchedule { offline_until: 28, online: 2, offline: 4 },
+        ttp_link: TtpLinkConfig { batch_size: 2, failure: 0.3, backoff: 1, max_batch_retries: 8 },
+        charge_deadline: 64,
+        backend: BackendKind::Hmac,
+        ..SessionConfig::default()
+    };
+    (ttp, submissions, config)
+}
+
+/// What a pinned round must reproduce: the outcome fingerprint, the
+/// journal fingerprint and the link counters (sent, delivered, dropped,
+/// duplicated, corrupted, delayed).
+type Pin = (u64, u64, [u64; 6]);
+
+fn pin(outcome: &SessionOutcome) -> Pin {
+    let s = outcome.stats;
+    let link = [s.sent, s.delivered, s.dropped, s.duplicated, s.corrupted, s.delayed];
+    (outcome.fingerprint(), outcome.journal.fingerprint(), link)
+}
+
+/// Golden values for the typed round ([`AuctionSession::run`]) over the
+/// pinned lossy round. Replaying a run only shows that a change moved
+/// both runs alike; these show that it moved nothing.
+#[test]
+fn typed_round_matches_its_golden_values() {
+    let (ttp, submissions, config) = pinned_round();
+    let session = AuctionSession::new(&ttp, config);
+    let golden: [(u64, Pin); 4] = [
+        (1234, (0x85c8_57de_a966_0bab, 0x977e_3928_7983_0cce, [27, 22, 9, 4, 8, 8])),
+        (20260807, (0xc1e7_3892_9e87_db94, 0x9478_2655_0aa9_3eb7, [25, 19, 10, 4, 6, 6])),
+        (424242, (0xd372_347b_1cf4_ac08, 0x2836_146b_e40c_9fc8, [18, 19, 3, 4, 3, 9])),
+        (7, (0x343b_9d84_21f9_7d51, 0x8560_e963_e15c_0ae7, [26, 17, 11, 2, 3, 4])),
+    ];
+    for (seed, want) in golden {
+        let got = pin(&session.run(&submissions, seed).unwrap());
+        assert_eq!(got, want, "seed {seed}");
+    }
+}
+
+/// Golden values for the framed round ([`run_wire_round`]) over the
+/// pinned lossy round.
+#[test]
+fn framed_round_matches_its_golden_values() {
+    let (ttp, submissions, config) = pinned_round();
+    let golden: [(u64, Pin); 4] = [
+        (1234, (0xd858_5d45_0a54_eaca, 0x4f9b_ef41_8071_33f9, [22, 21, 5, 4, 6, 8])),
+        (20260807, (0x1e29_090c_2c97_22a3, 0xe0a5_dc9b_1443_4a1b, [23, 20, 8, 5, 7, 8])),
+        (424242, (0xd372_347b_1cf4_ac08, 0xc6ce_ebbe_44dd_90e2, [22, 21, 6, 5, 4, 10])),
+        (7, (0xfe0a_6aea_9b87_858f, 0x24d9_9d0c_66fb_4096, [27, 18, 13, 4, 3, 5])),
+    ];
+    for (seed, want) in golden {
+        let got = pin(&run_wire_round(&ttp, config, &submissions, seed).unwrap());
+        assert_eq!(got, want, "seed {seed}");
     }
 }

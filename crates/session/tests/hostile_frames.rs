@@ -20,8 +20,8 @@ use lppa_rng::rngs::StdRng;
 use lppa_rng::{Rng, SeedableRng};
 use lppa_session::frame::{decode_hello, decode_sub_ack, decode_tick_done};
 use lppa_session::{
-    decode_frame, decode_frame_exact, encode_frame, encode_submission_frame, FrameError, FrameKind,
-    Journal, JournalEntry, WireCollectEngine, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+    decode_frame, decode_frame_exact, encode_frame, encode_submission_frame, CollectEngine,
+    FrameError, FrameKind, Journal, JournalEntry, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 
 fn sample_submission() -> SuSubmission {
@@ -165,7 +165,7 @@ fn back_half_tag_damage_is_discarded_as_corrupt() {
         for offset in 8..16 {
             let mut damaged = frame.clone();
             damaged[at + offset] ^= 0x5a;
-            let mut engine = WireCollectEngine::new(1, 2, config);
+            let mut engine = CollectEngine::new(1, 2, config);
             let mut journal = Journal::new();
             let ack = engine.ingest(0, &damaged, &mut journal);
             assert_eq!(ack, None, "tag {t} offset {offset}: damaged copy was settled");
