@@ -13,7 +13,7 @@
 //! The counter is process-global and monotone; measure a region by
 //! differencing two [`allocations`] snapshots. Counts are deterministic
 //! for a deterministic single-threaded workload, which is what the CI
-//! alloc-regression gate pins (`LPPA_THREADS=1 LPPA_SHARDS=1`): thread
+//! alloc-regression gate pins (`LPPA_THREADS=1`, so one shard): thread
 //! pools and channels allocate on their own schedule, so multi-threaded
 //! counts are reproducible only up to scheduling.
 

@@ -7,11 +7,12 @@
 //! Output is one JSON object per line, mirroring `lppa_rng::bench`:
 //!
 //! * a machine-context metadata line (`"context"`) with the SHA-256
-//!   lane width, worker threads, shard count and CPU features;
+//!   lane width, worker threads, shard count (one shard per worker) and
+//!   CPU features;
 //! * one **timing-free** outcome line (`"outcome"`) carrying the run's
 //!   aggregate decision fingerprint — byte-identical across
-//!   `LPPA_SHARDS`/`LPPA_THREADS`, which is exactly what the CI
-//!   `load-smoke` job diffs;
+//!   `LPPA_THREADS`, which is exactly what the CI `load-smoke` job
+//!   diffs;
 //! * `"bench"`+`"mean_ns"` records (area latency quantiles, per-bidder
 //!   routing cost, total wall clock) that the `compare` bin can join.
 //!
@@ -175,7 +176,7 @@ fn run_churn_bench(
     for &mode in &args.modes {
         let single_start = lppa_bench::alloc_count::allocations();
         let start = Instant::now();
-        let run = match run_churn(&spec, mode, config.shards, config.threads) {
+        let run = match run_churn(&spec, mode, config.threads) {
             Ok(run) => run,
             Err(err) => {
                 eprintln!("error: churn run ({}) failed: {err}", mode.name());
@@ -188,7 +189,7 @@ fn run_churn_bench(
             let mut doubled = spec;
             doubled.rounds = spec.rounds * 2;
             let b0 = lppa_bench::alloc_count::allocations()?;
-            run_churn(&doubled, mode, config.shards, config.threads).ok()?;
+            run_churn(&doubled, mode, config.threads).ok()?;
             let double = lppa_bench::alloc_count::allocations()? - b0;
             // Marginal warm rounds: (A(2R) − A(R)) / R.
             Some(double.saturating_sub(single) / spec.rounds.max(1) as u64)
@@ -311,13 +312,12 @@ fn main() -> ExitCode {
     let mut report = Report { lines: Vec::new() };
 
     // Machine-context metadata, same shape as `lppa_bench::machine_context`
-    // plus the shard count — committed baselines stay interpretable. The
-    // churn harness emits the line itself so it can append the measured
-    // warm allocs/round.
+    // plus the shard count (the worker count, one shard per worker), so
+    // committed baselines stay joinable. The churn harness emits the line
+    // itself so it can append the measured warm allocs/round.
     let threads = std::env::var(lppa_par::THREADS_ENV)
         .unwrap_or_else(|_| format!("auto({})", config.threads));
-    let shards = std::env::var(lppa_service::SHARDS_ENV)
-        .unwrap_or_else(|_| format!("auto({})", config.shards));
+    let shards = config.threads;
     let ctx_core = format!(
         "\"sha_lanes\":\"{}\",\"threads\":\"{threads}\",\"shards\":\"{shards}\",\"cpu_features\":\"{}\"",
         lppa_crypto::lanes::lane_width(),

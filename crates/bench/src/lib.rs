@@ -24,11 +24,12 @@ pub mod alloc_count;
 pub mod experiments;
 
 /// Emits the standard machine-context metadata line for a bench group:
-/// the SHA-256 lane width in effect, the worker-thread configuration,
-/// and the detected CPU feature flags. Committed baseline files (e.g.
-/// `results/BENCH_pr5_*.json`) carry these lines so before/after runs
-/// stay interpretable — a "before" captured under `LPPA_SHA_LANES=1`
-/// is distinguishable from one captured on a machine without AVX2.
+/// the SHA-256 lane width the CPU detection picked, the worker-thread
+/// configuration, and the detected CPU feature flags. Committed
+/// baseline files (e.g. `results/BENCH_pr5_*.json`) carry these lines
+/// so before/after runs stay interpretable — a "before" captured on a
+/// SHA-NI host is distinguishable from one captured on an AVX2-only
+/// machine, and a two-thread run from a single-thread one.
 pub fn machine_context(b: &mut lppa_rng::bench::Bench) {
     let lanes = lppa_crypto::lanes::lane_width().to_string();
     let threads = std::env::var(lppa_par::THREADS_ENV)

@@ -282,12 +282,11 @@ impl LocationSubmission {
 ///
 /// Generic over how the caller holds the submissions, so batch drivers
 /// can pass references into their own submission lists instead of
-/// copying locations. The probing phase is split across worker threads
-/// (`lppa_par`) and the edge set is reassembled in bidder order, so the
-/// result is identical for every `LPPA_THREADS` value.
+/// copying locations. The join runs on the calling thread in one pass
+/// over the bidders, adding each edge to the graph as it is found.
 pub fn build_conflict_graph<L>(submissions: &[L]) -> ConflictGraph
 where
-    L: Borrow<LocationSubmission> + Sync,
+    L: Borrow<LocationSubmission>,
 {
     let n = submissions.len();
     let mut graph = ConflictGraph::disconnected(n);
@@ -310,36 +309,24 @@ where
     let x_points = index_axis(LocationSubmission::point_x);
     let y_points = index_axis(LocationSubmission::point_y);
 
-    let chunk_size = n.div_ceil(lppa_par::thread_count() * 4).max(1);
-    let edge_lists = lppa_par::par_chunks(submissions, chunk_size, |chunk_idx, chunk| {
-        let base = chunk_idx * chunk_size;
-        // stamp[i] == j + 1 iff bidder i's x point lies in bidder j's x
-        // range and no y hit of j's has consumed the mark yet.
-        let mut stamp = vec![0u32; n];
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for (offset, s) in chunk.iter().enumerate() {
-            let j = base + offset;
-            let s = s.borrow();
-            let mark = j as u32 + 1;
-            for tag in s.range_x.iter() {
-                for &i in earlier_owners(&x_points, tag, j) {
-                    stamp[i as usize] = mark;
-                }
-            }
-            for tag in s.range_y.iter() {
-                for &i in earlier_owners(&y_points, tag, j) {
-                    if stamp[i as usize] == mark {
-                        stamp[i as usize] = 0;
-                        edges.push((i as usize, j));
-                    }
-                }
+    // stamp[i] == j + 1 iff bidder i's x point lies in bidder j's x
+    // range and no y hit of j's has consumed the mark yet.
+    let mut stamp = vec![0u32; n];
+    for (j, s) in submissions.iter().enumerate() {
+        let s = s.borrow();
+        let mark = j as u32 + 1;
+        for tag in s.range_x.iter() {
+            for &i in earlier_owners(&x_points, tag, j) {
+                stamp[i as usize] = mark;
             }
         }
-        edges
-    });
-    for edges in edge_lists {
-        for (i, j) in edges {
-            graph.add_conflict(i.into(), j.into());
+        for tag in s.range_y.iter() {
+            for &i in earlier_owners(&y_points, tag, j) {
+                if stamp[i as usize] == mark {
+                    stamp[i as usize] = 0;
+                    graph.add_conflict((i as usize).into(), j.into());
+                }
+            }
         }
     }
     graph

@@ -262,7 +262,7 @@ pub fn run_private_auction_with_model<R: Rng>(
 
 /// The conflict graph the auctioneer reconstructs from the submissions'
 /// masked locations, read in place.
-pub fn conflict_graph<S: Borrow<SuSubmission> + Sync>(submissions: &[S]) -> ConflictGraph {
+pub fn conflict_graph<S: Borrow<SuSubmission>>(submissions: &[S]) -> ConflictGraph {
     let locations: Vec<&LocationSubmission> =
         submissions.iter().map(|s| &s.borrow().location).collect();
     build_conflict_graph(&locations)
@@ -281,7 +281,7 @@ pub(crate) fn settle_allocation_in<S, R>(
     slots: Option<&[u32]>,
 ) -> Result<PrivateAuctionResult, LppaError>
 where
-    S: Borrow<AdvancedBidSubmission> + Sync,
+    S: Borrow<AdvancedBidSubmission>,
     R: Rng,
 {
     let grants = greedy_allocate_in(table, &conflicts, rng, &mut scratch.alloc);
@@ -313,7 +313,7 @@ pub(crate) fn charge_grants_in<S>(
     mut ledger: Option<&mut RoundLedger>,
 ) -> Result<(AuctionOutcome, Vec<Grant>), LppaError>
 where
-    S: Borrow<AdvancedBidSubmission> + Sync,
+    S: Borrow<AdvancedBidSubmission>,
 {
     let k = ttp.n_channels();
     let mut assignments = Vec::new();
@@ -354,7 +354,7 @@ where
 
 /// The table cell a grant awards, checked instead of indexed so a
 /// corrupted grant list cannot panic the auctioneer.
-fn winning_bid<'a, S: Borrow<AdvancedBidSubmission> + Sync>(
+fn winning_bid<'a, S: Borrow<AdvancedBidSubmission>>(
     table: &'a MaskedBidTable<S>,
     grant: &Grant,
 ) -> Result<&'a ChannelBid, LppaError> {
@@ -375,7 +375,7 @@ fn winning_bid<'a, S: Borrow<AdvancedBidSubmission> + Sync>(
 /// the table — impossible for grants produced by the allocation, but
 /// checked instead of indexed so corrupted grant lists cannot panic the
 /// auctioneer.
-pub fn charge_requests<S: Borrow<AdvancedBidSubmission> + Sync>(
+pub fn charge_requests<S: Borrow<AdvancedBidSubmission>>(
     table: &MaskedBidTable<S>,
     grants: &[Grant],
 ) -> Result<Vec<ChargeRequest>, LppaError> {
@@ -395,15 +395,14 @@ pub fn charge_requests<S: Borrow<AdvancedBidSubmission> + Sync>(
 /// Builds every bidder's [`SuSubmission`] in parallel.
 ///
 /// Bidders are independent by construction — each one masks its own
-/// tags under the shared keys — so the batch fans out across the
-/// `lppa_par` worker pool, with chunk sizes aligned to the SHA-256 lane
-/// width so each worker's run of bidders feeds the multi-lane tag kernel
-/// in whole passes. To keep the output independent of the thread count,
-/// one child seed per bidder is drawn *sequentially* from the caller's
-/// RNG first; each submission is then derived from its own seeded
-/// [`StdRng`]. The result is bit-identical for every `LPPA_THREADS` and
-/// `LPPA_SHA_LANES` value (the reproducibility CI gate diffs pinned-seed
-/// runs across both knobs to prove it).
+/// tags under the shared keys on its own device — so the batch fans out
+/// across `LPPA_THREADS` workers (`lppa_par::par_map_staged`), each
+/// masking its run of bidders through one `MaskScratch`. To keep the
+/// output independent of the thread count, one child seed per bidder is
+/// drawn *sequentially* from the caller's RNG first; each submission is
+/// then derived from its own seeded [`StdRng`]. The result is
+/// bit-identical for every `LPPA_THREADS` value (the reproducibility CI
+/// gate diffs pinned-seed runs at 1 and 4 threads to prove it).
 ///
 /// # Errors
 ///
@@ -417,16 +416,11 @@ pub fn build_submissions<R: Rng>(
 ) -> Result<Vec<SuSubmission>, LppaError> {
     let seeded: Vec<(u64, &(Location, Vec<u32>))> =
         bidders.iter().map(|bidder| (rng.next_u64(), bidder)).collect();
-    lppa_par::par_map_staged(
-        &seeded,
-        lppa_crypto::lanes::lane_width(),
-        MaskScratch::new,
-        |scratch, (seed, bidder)| {
-            let (location, raw_bids) = bidder;
-            let mut child = StdRng::seed_from_u64(*seed);
-            SuSubmission::build_in(*location, raw_bids, ttp, policy, &mut child, scratch)
-        },
-    )
+    lppa_par::par_map_staged(&seeded, MaskScratch::new, |scratch, (seed, bidder)| {
+        let (location, raw_bids) = bidder;
+        let mut child = StdRng::seed_from_u64(*seed);
+        SuSubmission::build_in(*location, raw_bids, ttp, policy, &mut child, scratch)
+    })
     .into_iter()
     .collect()
 }

@@ -41,7 +41,7 @@ pub struct MaskedBidTable<S = AdvancedBidSubmission> {
     classes: Vec<Vec<u32>>,
 }
 
-impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
+impl<S: Borrow<AdvancedBidSubmission>> MaskedBidTable<S> {
     /// [`Self::collect_with`] for the `hmac` backend and the fully
     /// oblivious model: every cell is an entry, because the auctioneer
     /// cannot tell zeros apart.
@@ -215,7 +215,7 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
     }
 }
 
-impl<S: Borrow<AdvancedBidSubmission> + Sync> BidOracle for MaskedBidTable<S> {
+impl<S: Borrow<AdvancedBidSubmission>> BidOracle for MaskedBidTable<S> {
     fn n_bidders(&self) -> usize {
         self.submissions.len()
     }
@@ -290,8 +290,8 @@ fn channel_count<S: Borrow<AdvancedBidSubmission>>(submissions: &[S]) -> Result<
 }
 
 /// Computes the per-channel tie classes of [`MaskedBidTable::classes`]
-/// under the exact masked `≥` (channels rank in parallel), with one
-/// counting pass per channel and no masked comparison.
+/// under the exact masked `≥`, with one counting pass per channel and
+/// no masked comparison.
 ///
 /// The pass counts each point tag's *owners* (the bidders whose family
 /// holds it), then gives bidder `b` the sum `S_b` of the owner counts
@@ -306,33 +306,31 @@ fn channel_count<S: Borrow<AdvancedBidSubmission>>(submissions: &[S]) -> Result<
 /// A tampered family (a dropped, altered or foreign tag) only moves the
 /// sums it touches; the classes stay a total preorder, and nothing can
 /// panic on an inconsistent comparator because none is consulted.
-pub fn compute_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
-    submissions: &[S],
-) -> Vec<Vec<u32>> {
+pub fn compute_classes<S: Borrow<AdvancedBidSubmission>>(submissions: &[S]) -> Vec<Vec<u32>> {
     let n_channels = submissions.first().map_or(0, |s| s.borrow().n_channels());
-    let channels: Vec<usize> = (0..n_channels).collect();
-    // One owner-count map per chunk, cleared and reused channel by channel.
-    let owner_counts = HashMap::<Tag, u32, TagBuildHasher>::default;
-    lppa_par::par_map_staged(&channels, 1, owner_counts, |owners, &ch| {
-        let cell = |b: usize| &submissions[b].borrow().bids()[ch];
-        owners.clear();
-        for b in 0..submissions.len() {
-            for &tag in cell(b).point.iter() {
-                *owners.entry(tag).or_insert(0) += 1;
+    // One owner-count map, cleared and reused channel by channel.
+    let mut owners = HashMap::<Tag, u32, TagBuildHasher>::default();
+    (0..n_channels)
+        .map(|ch| {
+            let cell = |b: usize| &submissions[b].borrow().bids()[ch];
+            owners.clear();
+            for b in 0..submissions.len() {
+                for &tag in cell(b).point.iter() {
+                    *owners.entry(tag).or_insert(0) += 1;
+                }
             }
-        }
-        // `S_b = #{a : v_a ≥ v_b}`, so `S_a ≤ S_b` is `a ≥ b`.
-        let dominators: Vec<u32> = (0..submissions.len())
-            .map(|b| cell(b).range.iter().filter_map(|t| owners.get(t)).sum())
-            .collect();
-        let mut order: Vec<usize> = (0..submissions.len()).collect();
-        order.sort_unstable_by_key(|&b| dominators[b]);
-        class_walk(&order, |a, b| dominators[a] <= dominators[b])
-    })
+            // `S_b = #{a : v_a ≥ v_b}`, so `S_a ≤ S_b` is `a ≥ b`.
+            let dominators: Vec<u32> = (0..submissions.len())
+                .map(|b| cell(b).range.iter().filter_map(|t| owners.get(t)).sum())
+                .collect();
+            let mut order: Vec<usize> = (0..submissions.len()).collect();
+            order.sort_unstable_by_key(|&b| dominators[b]);
+            class_walk(&order, |a, b| dominators[a] <= dominators[b])
+        })
+        .collect()
 }
 
-/// Computes per-channel tie classes through `backend` probes
-/// (channels in parallel).
+/// Computes per-channel tie classes through `backend` probes.
 ///
 /// The descending order is not a pairwise ranking: a lossy backend's
 /// `ge` can be intransitive (a Bloom false positive asserts `a ≥ b`
@@ -342,32 +340,33 @@ pub fn compute_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
 /// dominated set properly contains `b`'s), so the classes equal
 /// [`compute_classes`]'; for a lossy backend it is a deterministic total
 /// order that degrades gracefully with the false-positive rate.
-pub fn backend_classes<S: Borrow<AdvancedBidSubmission> + Sync>(
+pub fn backend_classes<S: Borrow<AdvancedBidSubmission>>(
     backend: &Backend,
     submissions: &[S],
     n_channels: usize,
 ) -> Vec<Vec<u32>> {
-    let channels: Vec<usize> = (0..n_channels).collect();
-    lppa_par::par_map(&channels, |&ch| {
-        let n = submissions.len();
-        let cell = |i: usize| &submissions[i].borrow().bids()[ch];
-        let points: Vec<BackendPoint> =
-            (0..n).map(|i| backend.compile_point(&cell(i).point)).collect();
-        let ranges: Vec<BackendRange> =
-            (0..n).map(|i| backend.compile_range(&cell(i).range)).collect();
-        let mut ge = vec![false; n * n];
-        let mut dominated = vec![0usize; n];
-        for a in 0..n {
-            for b in 0..n {
-                let hit = backend.probe(&points[a], &ranges[b]);
-                ge[a * n + b] = hit;
-                dominated[a] += usize::from(hit);
+    let n = submissions.len();
+    (0..n_channels)
+        .map(|ch| {
+            let cell = |i: usize| &submissions[i].borrow().bids()[ch];
+            let points: Vec<BackendPoint> =
+                (0..n).map(|i| backend.compile_point(&cell(i).point)).collect();
+            let ranges: Vec<BackendRange> =
+                (0..n).map(|i| backend.compile_range(&cell(i).range)).collect();
+            let mut ge = vec![false; n * n];
+            let mut dominated = vec![0usize; n];
+            for a in 0..n {
+                for b in 0..n {
+                    let hit = backend.probe(&points[a], &ranges[b]);
+                    ge[a * n + b] = hit;
+                    dominated[a] += usize::from(hit);
+                }
             }
-        }
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&a| std::cmp::Reverse(dominated[a]));
-        class_walk(&order, |a, b| ge[a * n + b])
-    })
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&a| std::cmp::Reverse(dominated[a]));
+            class_walk(&order, |a, b| ge[a * n + b])
+        })
+        .collect()
 }
 
 /// Assigns class ids along a descending `order`: an entry opens a new

@@ -33,15 +33,13 @@
 //!
 //! [`lane_width`] picks 1 when the CPU has SHA-NI (one SHA-NI block
 //! costs less than an eighth of an AVX2 pass), else 8 when it has AVX2,
-//! else 1. The `LPPA_SHA_LANES` environment variable (`1` or `8`; read
-//! once per process) pins it, and CI diffs pinned-seed runs across both
-//! widths to enforce the bit-identity contract.
+//! else 1. The width is detected, never configured: it stays inside
+//! this crate. The `*_with_width` entry points run either width on any
+//! CPU, so the tests pin both to the portable compression.
 
 use crate::sha256::{compress, BLOCK_LEN};
+#[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
-
-/// Environment variable pinning the lane width (`1` or `8`).
-pub const LANES_ENV: &str = "LPPA_SHA_LANES";
 
 /// Lane widths with a dedicated dispatch, narrowest first.
 pub const SUPPORTED_WIDTHS: [usize; 2] = [1, 8];
@@ -49,26 +47,9 @@ pub const SUPPORTED_WIDTHS: [usize; 2] = [1, 8];
 /// The widest kernel; batch callers sizing stack buffers can use this.
 pub const MAX_LANES: usize = 8;
 
-/// The lane width the process-wide kernel dispatch uses.
-///
-/// Honours [`LANES_ENV`] when set to a supported width; otherwise 1 with
-/// SHA-NI, else 8 with AVX2, else 1. Cached after the first call.
+/// The lane width the process-wide kernel dispatch uses, detected from
+/// the CPU: 1 with SHA-NI, else 8 with AVX2, else 1.
 pub fn lane_width() -> usize {
-    static WIDTH: OnceLock<usize> = OnceLock::new();
-    *WIDTH.get_or_init(|| {
-        if let Ok(raw) = std::env::var(LANES_ENV) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if SUPPORTED_WIDTHS.contains(&n) {
-                    return n;
-                }
-            }
-        }
-        default_width()
-    })
-}
-
-/// The width [`lane_width`] picks when [`LANES_ENV`] does not pin one.
-fn default_width() -> usize {
     if !sha_ni_available() && avx2_available() {
         8
     } else {
@@ -535,10 +516,7 @@ mod tests {
         if !sha_ni_available() {
             return;
         }
-        assert_eq!(default_width(), 1);
-        if std::env::var_os(LANES_ENV).is_none() {
-            assert_eq!(lane_width(), 1);
-        }
+        assert_eq!(lane_width(), 1);
     }
 
     #[test]

@@ -125,8 +125,8 @@ pub struct TagKernelRun {
     pub scalar: Vec<Tag>,
     /// `(lane width, batched tags)` for every supported kernel width.
     pub batched: Vec<(usize, Vec<Tag>)>,
-    /// Tags from the process-default batch path (`LPPA_SHA_LANES` or
-    /// CPU auto-detection).
+    /// Tags from the process-default batch path (the CPU-detected lane
+    /// width).
     pub default_batch: Vec<Tag>,
 }
 
@@ -460,12 +460,7 @@ impl ScenarioRun {
         );
         let plans = spec.plans()?;
         let bidders = spec.bidders();
-        let config = ServiceConfig {
-            shards: 3,
-            threads: 2,
-            flush_chunk: 8,
-            session: SessionConfig::default(),
-        };
+        let config = ServiceConfig { threads: 2, session: SessionConfig::default() };
         let service = AuctionService::new(config, plans.clone());
         for bidder in &bidders {
             service.submit(bidder.clone())?;
@@ -508,8 +503,8 @@ impl ScenarioRun {
             3,
             0.4,
         );
-        let incremental = run_churn(&spec, ChurnMode::Incremental, 2, 2)?;
-        let rebuild = run_churn(&spec, ChurnMode::Rebuild, 1, 1)?;
+        let incremental = run_churn(&spec, ChurnMode::Incremental, 2)?;
+        let rebuild = run_churn(&spec, ChurnMode::Rebuild, 1)?;
         Ok(ChurnRun { incremental, rebuild })
     }
 

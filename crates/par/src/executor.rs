@@ -1,7 +1,7 @@
 //! A persistent work-stealing executor.
 //!
-//! [`par_map`](crate::par_map) and friends are fork-join primitives:
-//! they spawn scoped workers, drain one batch and join. That is the
+//! [`par_map_staged`](crate::par_map_staged) is a fork-join primitive:
+//! it spawns scoped workers, drains one batch and joins. That is the
 //! right shape for a single hot loop, but a long-lived service driving
 //! thousands of concurrent auction rounds cannot afford a thread
 //! spawn/join cycle per batch. [`Executor`] keeps a fixed pool of
@@ -10,11 +10,12 @@
 //!
 //! * **per-worker deques + a global injector** — [`Executor::spawn`]
 //!   pushes to the injector; [`Executor::spawn_on`] pushes to a specific
-//!   worker's deque for affinity (the service pins each shard's tasks to
-//!   `shard % workers` so a shard's state stays warm in one core's
-//!   cache). A worker pops its own deque first (FIFO, preserving a
-//!   shard's task order), then the injector, then *steals* from sibling
-//!   deques — an idle worker never waits while queued work exists;
+//!   worker's deque for affinity (the service keeps one shard per worker
+//!   and pins each shard's tasks to it, so a shard's state stays warm in
+//!   one core's cache). A worker pops its own deque first (FIFO,
+//!   preserving a shard's task order), then the injector, then *steals*
+//!   from sibling deques — an idle worker never waits while queued work
+//!   exists;
 //! * **panic isolation** — a panicking task is caught, counted and
 //!   dropped; the worker survives and sibling tasks are unaffected. The
 //!   caller polls [`Executor::panicked`] to turn lost tasks into a
@@ -29,7 +30,7 @@
 //! state, and the service layer assembles per-area outputs by area id.
 //! Scheduling (worker count, stealing, affinity) only affects timing,
 //! which is why service outcomes are bit-identical for every
-//! `LPPA_THREADS`/`LPPA_SHARDS` setting.
+//! `LPPA_THREADS` setting.
 //!
 //! # Examples
 //!
@@ -163,6 +164,10 @@ pub struct Executor {
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Latched by the first `shutdown` call; later calls are no-ops.
     shut: AtomicBool,
+    /// Set (`Release`) by the first `shutdown` call once every worker
+    /// is joined; `is_shut_down` reads it with `Acquire`, so a `true`
+    /// read also sees every task's writes.
+    joined: AtomicBool,
 }
 
 impl std::fmt::Debug for Executor {
@@ -202,12 +207,16 @@ impl Executor {
                     .expect("spawn executor worker")
             })
             .collect();
-        Self { shared, workers: Mutex::new(workers), shut: AtomicBool::new(false) }
+        Self {
+            shared,
+            workers: Mutex::new(workers),
+            shut: AtomicBool::new(false),
+            joined: AtomicBool::new(false),
+        }
     }
 
     /// A pool sized from the `LPPA_THREADS` environment (the same
-    /// [`thread_count`](crate::thread_count) the fork-join primitives
-    /// use).
+    /// [`thread_count`](crate::thread_count) the fork-join map uses).
     pub fn from_env() -> Self {
         Self::new(crate::thread_count())
     }
@@ -276,9 +285,11 @@ impl Executor {
         self.shared.panicked.load(Ordering::Relaxed)
     }
 
-    /// Whether `shutdown` has completed.
+    /// Whether `shutdown` has completed: every worker is joined. A
+    /// pool that already refuses new work but still runs its queue
+    /// reports `false`.
     pub fn is_shut_down(&self) -> bool {
-        self.shut.load(Ordering::Acquire)
+        self.joined.load(Ordering::Acquire)
     }
 
     /// Graceful shutdown: rejects new submissions, drains all queued
@@ -303,6 +314,7 @@ impl Executor {
             // broken — propagate.
             handle.join().expect("executor worker panicked outside a task");
         }
+        self.joined.store(true, Ordering::Release);
     }
 }
 

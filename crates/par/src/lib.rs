@@ -1,40 +1,43 @@
 //! A zero-dependency parallel runtime for the LPPA workspace.
 //!
-//! The auction pipeline has two embarrassingly parallel hot spots — the
-//! bidder-side submission masking (every bidder masks its own tags
-//! independently) and the auctioneer-side index construction. The
-//! workspace is hermetic by design, so instead of `rayon` this crate
-//! provides the two primitives those paths actually need, built on
-//! `std::thread::scope`:
+//! LPPA's independent units of work are the paper's own: every SU masks
+//! its own bids on its own device, and every regional auction settles
+//! on its own. An auctioneer round (conflict graph, tie classes, greedy
+//! allocation) runs on the calling thread. The workspace is hermetic by
+//! design, so instead of `rayon` this crate provides the two runtimes
+//! those units need, built on `std::thread`:
 //!
-//! * [`par_map`] — map a function over a slice, results in input order;
-//! * [`par_chunks`] — map a function over fixed-size chunks of a slice,
-//!   results in chunk order.
+//! * [`par_map_staged`] — a fork-join map over a slice with per-chunk
+//!   scratch, results in input order; `build_submissions` masks a batch
+//!   of bidders through it;
+//! * [`Executor`] — a persistent work-stealing pool; the service layer
+//!   settles its areas on it.
 //!
 //! # Scheduling
 //!
-//! Work is split into chunks and workers *self-schedule*: each thread
-//! repeatedly claims the next unclaimed chunk from a shared atomic
-//! counter ("work-stealing lite" — the cheap half of a deque scheduler,
-//! which is all uniform workloads need). Results travel back over a
-//! channel labelled with their chunk number and are reassembled in
-//! order, so the output is **deterministic and identical for every
-//! thread count** — a property the repo's reproducibility CI gate
-//! checks by running the whole suite under `LPPA_THREADS=1` and
-//! `LPPA_THREADS=4`.
+//! [`par_map_staged`] splits its work into chunks and workers
+//! *self-schedule*: each thread repeatedly claims the next unclaimed
+//! chunk from a shared atomic counter ("work-stealing lite" — the cheap
+//! half of a deque scheduler, which is all uniform workloads need).
+//! Results travel back over a channel labelled with their chunk number
+//! and are reassembled in order, so the output is **deterministic and
+//! identical for every thread count** — a property the repo's
+//! reproducibility CI gate checks by running the whole suite under
+//! `LPPA_THREADS=1` and `LPPA_THREADS=4`.
 //!
 //! # Thread count
 //!
 //! The worker count comes from the `LPPA_THREADS` environment variable
 //! (clamped to ≥ 1), defaulting to [`std::thread::available_parallelism`].
-//! It is read once per process and cached. With one worker the
-//! primitives run inline on the calling thread — no threads are spawned
-//! and no channel is allocated.
+//! It is read once per process and cached, and it is the workspace's
+//! only scheduling setting. With one worker [`par_map_staged`] runs
+//! inline on the calling thread — no threads are spawned and no channel
+//! is allocated.
 //!
 //! # Examples
 //!
 //! ```
-//! let squares = lppa_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
+//! let squares = lppa_par::par_map_staged(&[1u64, 2, 3, 4], || (), |_, &x| x * x);
 //! assert_eq!(squares, [1, 4, 9, 16]);
 //! ```
 
@@ -56,15 +59,13 @@ pub const THREADS_ENV: &str = "LPPA_THREADS";
 /// workspace targets benefits from more workers than this.
 pub const MAX_WORKERS: usize = 512;
 
-/// Chunks per worker that [`par_map`] aims for, so slow chunks can be
+/// Chunks per worker that [`par_map_staged`] aims for, so slow chunks can be
 /// compensated by idle workers picking up remaining ones.
 const CHUNKS_PER_THREAD: usize = 4;
 
 /// Parses a `LPPA_THREADS`-style worker-count value.
 ///
-/// The accepted grammar is deliberately strict and shared by every
-/// worker-count knob in the workspace (`LPPA_THREADS` here,
-/// `LPPA_SHARDS` in `lppa-service`), so the knobs cannot drift apart:
+/// The accepted grammar is deliberately strict:
 ///
 /// * surrounding ASCII whitespace is trimmed (`" 4 "`, `"4\n"` → 4);
 /// * only plain decimal digits are accepted — signs (`"+4"`, `"-1"`),
@@ -165,7 +166,8 @@ pub fn parse_flag(value: Option<&str>) -> Option<bool> {
     }
 }
 
-/// The number of worker threads the primitives in this crate use.
+/// The number of worker threads: [`par_map_staged`]'s fan-out and the
+/// service's [`Executor`] size.
 ///
 /// `LPPA_THREADS` if set to a positive integer, else
 /// [`std::thread::available_parallelism`] (1 if even that is unknown).
@@ -178,96 +180,45 @@ pub fn thread_count() -> usize {
     })
 }
 
-/// Maps `f` over `items` in parallel; the result order matches the
-/// input order regardless of thread count or scheduling.
+/// Maps `f` over `items` in parallel with a per-chunk staging value;
+/// the result order matches the input order regardless of thread count
+/// or scheduling.
+///
+/// Each worker chunk checks one `S` out of `init()` and threads it
+/// mutably through every item it maps, so scratch buffers (tag-set
+/// pools, prefix staging) amortize across a whole chunk instead of
+/// being rebuilt per item. `f` must give the same result for any prior
+/// state of its stage (the workspace's scratch types guarantee exactly
+/// that: pooled buffers are observationally identical to fresh ones),
+/// which keeps the output independent of chunk boundaries and thread
+/// count.
 ///
 /// Panics in `f` propagate to the caller (via the scoped-thread join).
 ///
 /// # Examples
 ///
 /// ```
-/// let lens = lppa_par::par_map(&["a", "bcd", ""], |s| s.len());
-/// assert_eq!(lens, [1, 3, 0]);
-/// ```
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_aligned(items, 1, f)
-}
-
-/// [`par_map`] with the chunk size rounded up to a multiple of `align`.
-///
-/// Per-item work that feeds a lane-batched kernel (e.g. the multi-lane
-/// SHA-256 tag path, where `align` is `lppa_crypto::lanes::lane_width()`)
-/// wastes lanes at every chunk boundary; aligning the chunk size keeps
-/// every chunk except the last a whole number of kernel passes. `align`
-/// of 0 or 1 degenerates to plain [`par_map`]. The output is identical
-/// for every `align`, thread count and schedule — alignment only moves
-/// chunk boundaries, never results.
-///
-/// # Examples
-///
-/// ```
-/// let doubled = lppa_par::par_map_aligned(&[1u8, 2, 3, 4, 5], 4, |&x| x * 2);
-/// assert_eq!(doubled, [2, 4, 6, 8, 10]);
-/// ```
-pub fn par_map_aligned<T, R, F>(items: &[T], align: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = thread_count();
-    // Aim for several chunks per worker for load balance, but never
-    // more chunks than items.
-    let mut chunk_size = items.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    if align > 1 {
-        chunk_size = chunk_size.div_ceil(align) * align;
-    }
-    let per_chunk = par_chunks(items, chunk_size, |_, chunk| chunk.iter().map(&f).collect());
-    flatten_in_order(per_chunk)
-}
-
-/// [`par_map_aligned`] with a per-chunk staging value: each worker chunk
-/// checks one `S` out of `init()` and threads it mutably through every
-/// item it maps, so scratch buffers (tag-set pools, prefix staging)
-/// amortize across a whole chunk instead of being rebuilt per item.
-///
-/// `f` must give the same result for any prior state of its stage (the
-/// workspace's scratch types guarantee exactly that: pooled buffers are
-/// observationally identical to fresh ones), which keeps the output
-/// independent of chunk boundaries and thread count, like
-/// [`par_map_aligned`].
-///
-/// # Examples
-///
-/// ```
-/// let out = lppa_par::par_map_staged(&[1u32, 2, 3], 1, Vec::new, |buf: &mut Vec<u32>, &x| {
+/// let out = lppa_par::par_map_staged(&[1u32, 2, 3], Vec::new, |buf: &mut Vec<u32>, &x| {
 ///     buf.push(x); // per-chunk scratch, reused across the chunk's items
 ///     x * 2
 /// });
 /// assert_eq!(out, [2, 4, 6]);
 /// ```
-pub fn par_map_staged<T, R, S, I, F>(items: &[T], align: usize, init: I, f: F) -> Vec<R>
+pub fn par_map_staged<T, R, S, I, F>(items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    let threads = thread_count();
-    let mut chunk_size = items.len().div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    if align > 1 {
-        chunk_size = chunk_size.div_ceil(align) * align;
-    }
+    // Aim for several chunks per worker for load balance, but never
+    // more chunks than items.
+    let chunk_size = items.len().div_ceil(thread_count() * CHUNKS_PER_THREAD).max(1);
     let per_chunk = par_chunks(items, chunk_size, |_, chunk| {
         let mut stage = init();
         chunk.iter().map(|item| f(&mut stage, item)).collect::<Vec<R>>()
     });
-    flatten_in_order(per_chunk)
+    per_chunk.into_iter().flatten().collect()
 }
 
 /// Splits `items` into `chunk_size`-sized chunks (the last may be
@@ -280,16 +231,7 @@ where
 /// # Panics
 ///
 /// Panics if `chunk_size` is zero, or if `f` panics on any chunk.
-///
-/// # Examples
-///
-/// ```
-/// let sums = lppa_par::par_chunks(&[1u32, 2, 3, 4, 5], 2, |_, c| {
-///     c.iter().sum::<u32>()
-/// });
-/// assert_eq!(sums, [3, 7, 5]);
-/// ```
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
+fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -337,16 +279,6 @@ where
         .collect()
 }
 
-/// Concatenates per-chunk result vectors, preserving chunk order.
-fn flatten_in_order<R>(per_chunk: Vec<Vec<R>>) -> Vec<R> {
-    let total = per_chunk.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for chunk in per_chunk {
-        out.extend(chunk);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,22 +287,13 @@ mod tests {
     fn par_map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        assert_eq!(par_map(&items, |&x| x * 3 + 1), expected);
+        assert_eq!(par_map_staged(&items, || (), |_, &x| x * 3 + 1), expected);
     }
 
     #[test]
     fn par_map_handles_empty_and_single() {
-        assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
-        assert_eq!(par_map(&[42u32], |&x| x + 1), [43]);
-    }
-
-    #[test]
-    fn aligned_map_matches_plain_map_for_every_alignment() {
-        let items: Vec<u64> = (0..333).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x ^ 0x55).collect();
-        for align in [0usize, 1, 4, 8, 64, 1000] {
-            assert_eq!(par_map_aligned(&items, align, |&x| x ^ 0x55), expected, "align={align}");
-        }
+        assert_eq!(par_map_staged(&[] as &[u32], || (), |_, &x| x), Vec::<u32>::new());
+        assert_eq!(par_map_staged(&[42u32], || (), |_, &x| x + 1), [43]);
     }
 
     #[test]
@@ -489,6 +412,7 @@ mod tests {
         // suite runs with LPPA_THREADS > 1.
         let items: Vec<u64> = (0..5000).map(|i| i * 2654435761 % 1013).collect();
         let sequential: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xabcd).collect();
-        assert_eq!(par_map(&items, |&x| x.wrapping_mul(x) ^ 0xabcd), sequential);
+        let mapped = par_map_staged(&items, || (), |_, &x| x.wrapping_mul(x) ^ 0xabcd);
+        assert_eq!(mapped, sequential);
     }
 }

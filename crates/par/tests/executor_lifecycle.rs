@@ -4,7 +4,7 @@
 //! actually hits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use lppa_par::Executor;
@@ -122,6 +122,37 @@ fn concurrent_shutdown_calls_do_not_race() {
         racer.join().unwrap();
     }
     assert_eq!(done.load(Ordering::Relaxed), 20);
+    assert!(pool.is_shut_down());
+}
+
+#[test]
+fn is_shut_down_waits_until_the_workers_are_joined() {
+    // `shutdown` refuses new work before it joins the workers, so a
+    // pool whose worker is still inside a task must not report that
+    // shutdown has completed.
+    let pool = Arc::new(Executor::new(1));
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    assert!(pool.spawn(move || {
+        entered_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
+    }));
+    entered_rx.recv().unwrap();
+    let closer = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || pool.shutdown())
+    };
+    // A refused spawn shows the closer has started shutting down.
+    while pool.spawn(|| {}) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The worker stays blocked until `release_tx` sends, so the closer
+    // cannot finish joining, however long it runs; the pause only lets
+    // it reach its join loop, where a flag set before the joins shows.
+    std::thread::sleep(Duration::from_millis(20));
+    assert!(!pool.is_shut_down(), "reported shut down while a worker still runs a task");
+    release_tx.send(()).unwrap();
+    closer.join().unwrap();
     assert!(pool.is_shut_down());
 }
 

@@ -1,23 +1,21 @@
 //! Admission batching: coalescing incoming bidder submissions into
-//! lane-aligned build chunks.
+//! build chunks.
 //!
 //! Bidder-side masking is the service's dominant cost (hundreds of
-//! HMAC-SHA-256 tags per submission), and the PR 5 multi-lane kernel
-//! wants its work in batches — a flush of fewer than 8 tags wastes
-//! lanes. The [`AreaState`] therefore *buffers* arriving bidders and
-//! builds their [`SuSubmission`]s in chunks of
-//! [`ServiceConfig::flush_chunk`](crate::ServiceConfig) bidders (a
-//! multiple of the SHA-256 lane width, at least 8), so every flush
-//! feeds the kernel whole lane passes via the batched tag path inside
-//! `SuSubmission::build_in`, staged through one `MaskScratch` per area.
+//! HMAC-SHA-256 tags per submission). The [`AreaState`] *buffers*
+//! arriving bidders and builds their [`SuSubmission`]s in chunks
+//! ([`AreaState::flush`]), staged through one `MaskScratch` per area,
+//! so the service can interleave masking with routing instead of paying
+//! for every bidder when its area settles. The chunk size only moves
+//! when masking happens; each bidder's tags are batched inside
+//! `SuSubmission::build_in`, one value under one key at a time.
 //!
 //! Determinism: each arriving bidder is assigned a child seed drawn
 //! from the area's admission RNG **at routing time, in arrival
 //! order** — before any task scheduling happens. Chunk boundaries,
 //! shard placement and build interleaving can then vary freely with
-//! `LPPA_SHARDS`/`LPPA_THREADS` without moving a single masked bit,
-//! because each submission derives only from its own `(seed, input)`
-//! pair.
+//! `LPPA_THREADS` without moving a single masked bit, because each
+//! submission derives only from its own `(seed, input)` pair.
 
 use std::time::Instant;
 
@@ -47,17 +45,6 @@ struct Buffered {
     seed: u64,
     location: Location,
     bids: Vec<u32>,
-}
-
-/// The smallest flush the admission batcher will hand to the tag
-/// kernel, regardless of lane width.
-pub const MIN_FLUSH: usize = 8;
-
-/// The default flush chunk: the lane width rounded up to [`MIN_FLUSH`],
-/// kept lane-aligned.
-pub fn default_flush_chunk() -> usize {
-    let lanes = lppa_crypto::lanes::lane_width().max(1);
-    MIN_FLUSH.div_ceil(lanes) * lanes
 }
 
 /// Per-area admission and build state.
@@ -204,13 +191,6 @@ mod tests {
         (0..n)
             .map(|i| (Location::new(i as u32 % 100, i as u32 / 100), vec![i as u32 % 50, 3]))
             .collect()
-    }
-
-    #[test]
-    fn default_flush_chunk_is_lane_aligned_and_at_least_eight() {
-        let chunk = default_flush_chunk();
-        assert!(chunk >= MIN_FLUSH);
-        assert_eq!(chunk % lppa_crypto::lanes::lane_width(), 0);
     }
 
     #[test]

@@ -26,9 +26,9 @@
 //! The `incremental_equals_rebuild` oracle invariant and the CI
 //! `load-smoke` churn gate diff the two fingerprints on every run.
 //!
-//! Determinism across `LPPA_SHARDS`/`LPPA_THREADS` follows the service
-//! layer's usual argument: every bit derives from per-area seed streams
-//! fixed before any task is spawned; the executor only moves timing.
+//! Determinism across `LPPA_THREADS` follows the service layer's usual
+//! argument: every bit derives from per-area seed streams fixed before
+//! any task is spawned; the executor only moves timing.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -438,12 +438,12 @@ struct ChurnShard {
     errors: Vec<(u32, String)>,
 }
 
-/// Drives `spec` in `mode` over `threads` executor workers and
-/// `n_shards` shards, returning the aggregated report.
+/// Drives `spec` in `mode` over `threads` executor workers, one shard
+/// each, returning the aggregated report.
 ///
-/// Outcome bits are a pure function of `(spec, mode)` — the shard and
-/// worker counts move only timing — and the two modes' fingerprints are
-/// equal by construction (see the module docs).
+/// Outcome bits are a pure function of `(spec, mode)` — the worker
+/// count moves only timing — and the two modes' fingerprints are equal
+/// by construction (see the module docs).
 ///
 /// # Errors
 ///
@@ -452,10 +452,10 @@ struct ChurnShard {
 pub fn run_churn(
     spec: &ChurnSpec,
     mode: ChurnMode,
-    n_shards: usize,
     threads: usize,
 ) -> Result<ChurnReport, LppaError> {
-    let n_shards = n_shards.max(1);
+    let exec = Executor::new(threads);
+    let n_shards = exec.worker_count();
     let plans = spec.workload.plans()?;
     let mut shards: Vec<ChurnShard> = (0..n_shards).map(|_| ChurnShard::default()).collect();
 
@@ -479,7 +479,6 @@ pub fn run_churn(
 
     // Round loop: one task per shard per round, with an idle barrier
     // between rounds (round r+1's deltas depend on round r's state).
-    let exec = Executor::new(threads);
     let shared: Vec<Arc<Mutex<ChurnShard>>> =
         shards.into_iter().map(|s| Arc::new(Mutex::new(s))).collect();
     let spec_copy = *spec;
@@ -559,8 +558,8 @@ mod tests {
     #[test]
     fn incremental_and_rebuild_settle_identically() {
         let spec = spec(20260809, 3, 24, 4);
-        let delta = run_churn(&spec, ChurnMode::Incremental, 2, 2).unwrap();
-        let rebuild = run_churn(&spec, ChurnMode::Rebuild, 2, 2).unwrap();
+        let delta = run_churn(&spec, ChurnMode::Incremental, 2).unwrap();
+        let rebuild = run_churn(&spec, ChurnMode::Rebuild, 2).unwrap();
         assert!(delta.errors.is_empty(), "{:?}", delta.errors);
         assert_eq!(delta.fingerprint, rebuild.fingerprint);
         assert_eq!(delta.total_revenue, rebuild.total_revenue);
@@ -573,10 +572,11 @@ mod tests {
     #[test]
     fn outcome_is_invariant_across_shard_and_thread_grids() {
         let spec = spec(77, 4, 20, 3);
-        let reference = run_churn(&spec, ChurnMode::Incremental, 1, 1).unwrap();
-        for (shards, threads) in [(1, 4), (4, 1), (4, 4), (3, 2)] {
-            let run = run_churn(&spec, ChurnMode::Incremental, shards, threads).unwrap();
-            assert_eq!(run.fingerprint, reference.fingerprint, "shards={shards} threads={threads}");
+        // Each thread count is also the shard count.
+        let reference = run_churn(&spec, ChurnMode::Incremental, 1).unwrap();
+        for threads in [2, 3, 4] {
+            let run = run_churn(&spec, ChurnMode::Incremental, threads).unwrap();
+            assert_eq!(run.fingerprint, reference.fingerprint, "threads={threads}");
         }
     }
 
@@ -586,15 +586,15 @@ mod tests {
         spec.join_rate = 0.0;
         spec.leave_rate = 0.25;
         spec.revise_rate = 0.0;
-        let report = run_churn(&spec, ChurnMode::Incremental, 1, 1).unwrap();
+        let report = run_churn(&spec, ChurnMode::Incremental, 1).unwrap();
         assert!(report.final_bidders < report.initial_bidders);
         assert!(report.errors.is_empty(), "{:?}", report.errors);
     }
 
     #[test]
     fn fingerprint_moves_with_the_seed() {
-        let a = run_churn(&spec(1, 2, 16, 3), ChurnMode::Incremental, 1, 1).unwrap();
-        let b = run_churn(&spec(2, 2, 16, 3), ChurnMode::Incremental, 1, 1).unwrap();
+        let a = run_churn(&spec(1, 2, 16, 3), ChurnMode::Incremental, 1).unwrap();
+        let b = run_churn(&spec(2, 2, 16, 3), ChurnMode::Incremental, 1).unwrap();
         assert_ne!(a.fingerprint, b.fingerprint);
     }
 }

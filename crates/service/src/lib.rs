@@ -2,17 +2,20 @@
 //!
 //! Runs **many** LPPA regional auctions concurrently as a long-lived
 //! service: bidders stream in, are routed to their area's shard,
-//! coalesced into lane-aligned masking batches, and each area's full
+//! coalesced into masking batches, and each area's full
 //! Announce → Collect → Allocate → Charge → Settle state machine
 //! (`lppa-session`) settles on the persistent work-stealing executor
-//! from `lppa-par`.
+//! from `lppa-par`. Areas are the unit of concurrency: one area's round
+//! runs on one worker, and `LPPA_THREADS` sets the worker count, which
+//! is also the shard count.
 //!
 //! The crate is organized as four layers:
 //!
-//! - [`shard`] — shard topology (`LPPA_SHARDS`) and the deterministic
-//!   per-area ChaCha20 seed derivation everything else consumes.
-//! - [`admission`] — per-area buffering of arriving bidders and
-//!   lane-aligned flush chunks for the batched SHA-256 tag kernel.
+//! - [`shard`] — shard topology (one shard per worker) and the
+//!   deterministic per-area ChaCha20 seed derivation everything else
+//!   consumes.
+//! - [`admission`] — per-area buffering of arriving bidders and the
+//!   flush chunks that interleave masking with routing.
 //! - [`service`] — the [`AuctionService`] event loop, its epoch-based
 //!   [`drain`](AuctionService::drain), and the unsharded
 //!   [`run_sequential`] reference it must match bit for bit.
@@ -26,8 +29,8 @@
 //! ## Determinism contract
 //!
 //! For a fixed workload, the settled outcomes are **byte-identical**
-//! across every `LPPA_SHARDS` × `LPPA_THREADS` combination and equal to
-//! the sequential reference. Scheduling moves timing, never results;
+//! across every `LPPA_THREADS` setting and equal to the sequential
+//! reference. Scheduling moves timing, never results;
 //! see [`shard`] for the derivation argument and `DESIGN.md` §10 for
 //! the full write-up.
 
@@ -40,11 +43,9 @@ pub mod service;
 pub mod shard;
 pub mod workload;
 
-pub use admission::{default_flush_chunk, AreaState, BidderInput, MIN_FLUSH};
+pub use admission::{AreaState, BidderInput};
 pub use churn::{run_churn, ChurnMode, ChurnReport, ChurnSpec};
 pub use metrics::{LatencyRecorder, LatencySummary};
 pub use service::{run_sequential, AreaOutcome, AuctionService, ServiceConfig, ServiceReport};
-pub use shard::{
-    area_seeds, master_secret, parse_shards, shard_count, shard_of, AreaSeeds, SHARDS_ENV,
-};
+pub use shard::{area_seeds, master_secret, shard_of, AreaSeeds};
 pub use workload::{AreaPlan, WorkloadSpec};

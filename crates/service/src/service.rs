@@ -3,17 +3,18 @@
 //! An [`AuctionService`] drives many concurrent `lppa-session` rounds —
 //! one per regional auction (area) — over the persistent work-stealing
 //! [`Executor`] from `lppa-par`. Areas are grouped into **shards**
-//! ([`crate::shard`]); each shard's state sits behind one mutex and all
-//! tasks touching it are spawned with that shard's affinity, so a
-//! shard's areas form a serial lane while distinct shards proceed in
-//! parallel (work stealing keeps idle workers busy when shards are
-//! uneven).
+//! ([`crate::shard`]), one per executor worker; each shard's state sits
+//! behind one mutex and all tasks touching it are spawned with that
+//! shard's affinity, so a shard's areas form a serial lane while
+//! distinct shards proceed in parallel (work stealing keeps idle
+//! workers busy when shards are uneven). Each area's round runs on the
+//! one worker that settles it.
 //!
 //! The life of a round:
 //!
 //! 1. [`AuctionService::submit`] routes each arriving bidder to its
 //!    area's shard and buffers it (admission batching,
-//!    [`crate::admission`]). Whenever a lane-aligned chunk fills, a
+//!    [`crate::admission`]). Whenever eight bidders are buffered, a
 //!    flush task is spawned so masking overlaps with routing.
 //! 2. When an area's last expected bidder arrives, a run task settles
 //!    the whole round (final flush → Announce → Collect → Allocate →
@@ -27,7 +28,7 @@
 //! **Determinism.** Every outcome bit derives from `(plans, arrival
 //! order)` alone: seeds are fixed per area at plan time and per bidder
 //! at route time, and report assembly sorts by area id. The executor's
-//! scheduling — shard count, worker count, stealing — affects only
+//! scheduling — worker (and so shard) count, stealing — affects only
 //! timing, which is why [`run_sequential`] (no executor, no shards)
 //! must and does produce byte-identical outcomes; the differential
 //! oracle and the CI `load-smoke` job both hold the service to that.
@@ -39,36 +40,31 @@ use lppa::LppaError;
 use lppa_par::Executor;
 use lppa_session::{AuctionSession, SessionConfig, SessionOutcome};
 
-use crate::admission::{default_flush_chunk, AreaState, BidderInput};
+use crate::admission::{AreaState, BidderInput};
 use crate::metrics::{LatencyRecorder, LatencySummary};
-use crate::shard::{shard_count, shard_of};
+use crate::shard::shard_of;
 use crate::workload::AreaPlan;
 
-/// Tuning knobs for an [`AuctionService`].
+/// Bidders an area buffers before a flush task masks them. It sets only
+/// how often masking interleaves with routing; outcomes never depend on
+/// it.
+const FLUSH_CHUNK: usize = 8;
+
+/// Configuration for an [`AuctionService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Number of shards (serialization lanes). Defaults to
-    /// `LPPA_SHARDS`, else the worker count.
-    pub shards: usize,
-    /// Executor worker threads. Defaults to `LPPA_THREADS`, else the
-    /// machine's available parallelism.
+    /// Executor worker threads, one shard each. Defaults to
+    /// `LPPA_THREADS`, else the machine's available parallelism.
     pub threads: usize,
-    /// Admission flush chunk in bidders; lane-aligned, at least 8.
-    pub flush_chunk: usize,
     /// Per-area session (state machine) configuration.
     pub session: SessionConfig,
 }
 
 impl ServiceConfig {
-    /// Configuration from the environment (`LPPA_SHARDS`,
-    /// `LPPA_THREADS`, lane width) with default session settings.
+    /// Configuration from the environment (`LPPA_THREADS`) with default
+    /// session settings.
     pub fn from_env() -> Self {
-        Self {
-            shards: shard_count(),
-            threads: lppa_par::thread_count(),
-            flush_chunk: default_flush_chunk(),
-            session: SessionConfig::default(),
-        }
+        Self { threads: lppa_par::thread_count(), session: SessionConfig::default() }
     }
 }
 
@@ -163,7 +159,6 @@ struct ShardState {
 /// State shared between the submitting thread and executor tasks.
 struct Inner {
     shards: Vec<Mutex<ShardState>>,
-    flush_chunk: usize,
     session: SessionConfig,
 }
 
@@ -173,9 +168,8 @@ impl Inner {
     /// no-op).
     fn flush_area_chunk(&self, shard: usize, area: u32) {
         let mut guard = self.shards[shard].lock().unwrap();
-        let chunk = self.flush_chunk;
         if let Some(state) = guard.areas.get_mut(&area) {
-            if let Err(err) = state.flush(chunk) {
+            if let Err(err) = state.flush(FLUSH_CHUNK) {
                 let failed = guard.areas.remove(&area).expect("area present");
                 guard.errors.push((failed.area, err.to_string()));
             }
@@ -226,13 +220,14 @@ fn area_outcome(state: &AreaState, outcome: &SessionOutcome, latency_ns: u64) ->
 pub struct AuctionService {
     exec: Executor,
     inner: Arc<Inner>,
-    n_shards: usize,
 }
 
 impl AuctionService {
-    /// Opens a service over `plans`, one regional auction per plan.
+    /// Opens a service over `plans`, one regional auction per plan,
+    /// with one shard per executor worker.
     pub fn new(config: ServiceConfig, plans: Vec<AreaPlan>) -> Self {
-        let n_shards = config.shards.max(1);
+        let exec = Executor::new(config.threads);
+        let n_shards = exec.worker_count();
         let mut shards: Vec<ShardState> = (0..n_shards).map(|_| ShardState::default()).collect();
         for plan in plans {
             let shard = shard_of(plan.area, n_shards);
@@ -249,13 +244,11 @@ impl AuctionService {
             );
         }
         Self {
-            exec: Executor::new(config.threads),
+            exec,
             inner: Arc::new(Inner {
                 shards: shards.into_iter().map(Mutex::new).collect(),
-                flush_chunk: config.flush_chunk.max(1),
                 session: config.session,
             }),
-            n_shards,
         }
     }
 
@@ -264,12 +257,7 @@ impl AuctionService {
         Self::new(ServiceConfig::from_env(), plans)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Number of executor workers.
+    /// Number of executor workers, which is also the number of shards.
     pub fn worker_count(&self) -> usize {
         self.exec.worker_count()
     }
@@ -283,7 +271,7 @@ impl AuctionService {
     /// [`LppaError::Internal`] if the bidder targets an unknown or
     /// already-settled area.
     pub fn submit(&self, bidder: BidderInput) -> Result<(), LppaError> {
-        let shard = shard_of(bidder.area, self.n_shards);
+        let shard = shard_of(bidder.area, self.inner.shards.len());
         let (flush, ready) = {
             let mut guard = self.inner.shards[shard].lock().unwrap();
             let Some(state) = guard.areas.get_mut(&bidder.area) else {
@@ -292,7 +280,7 @@ impl AuctionService {
                 });
             };
             let ready = state.route(bidder.location, bidder.bids);
-            (!ready && state.flushable(self.inner.flush_chunk), ready)
+            (!ready && state.flushable(FLUSH_CHUNK), ready)
         };
         if ready {
             let inner = Arc::clone(&self.inner);
@@ -320,7 +308,7 @@ impl AuctionService {
             // plus re-check makes the loop quiesce deterministically.
             self.exec.wait_idle();
             let mut any = false;
-            for shard in 0..self.n_shards {
+            for shard in 0..self.inner.shards.len() {
                 let open: Vec<u32> =
                     self.inner.shards[shard].lock().unwrap().areas.keys().copied().collect();
                 if open.is_empty() {
@@ -360,8 +348,7 @@ impl AuctionService {
 /// **same** admission and session code path as the service.
 ///
 /// This is the determinism oracle's baseline — the service must match
-/// its outcomes bit for bit under every `LPPA_SHARDS`/`LPPA_THREADS`
-/// setting.
+/// its outcomes bit for bit under every `LPPA_THREADS` setting.
 pub fn run_sequential(
     session: SessionConfig,
     plans: Vec<AreaPlan>,
@@ -421,12 +408,7 @@ mod tests {
     fn service_matches_sequential_reference() {
         let spec = WorkloadSpec::new(20260809, 6, 90, 2);
         let bidders = spec.bidders();
-        let config = ServiceConfig {
-            shards: 3,
-            threads: 2,
-            flush_chunk: 8,
-            session: SessionConfig::default(),
-        };
+        let config = ServiceConfig { threads: 3, session: SessionConfig::default() };
         let service = AuctionService::new(config, spec.plans().unwrap());
         for b in &bidders {
             service.submit(b.clone()).unwrap();
@@ -444,12 +426,7 @@ mod tests {
     fn submit_to_unknown_area_is_an_error() {
         let spec = WorkloadSpec::new(5, 2, 8, 2);
         let service = AuctionService::new(
-            ServiceConfig {
-                shards: 1,
-                threads: 1,
-                flush_chunk: 8,
-                session: SessionConfig::default(),
-            },
+            ServiceConfig { threads: 1, session: SessionConfig::default() },
             spec.plans().unwrap(),
         );
         for b in spec.bidders() {
@@ -468,12 +445,7 @@ mod tests {
         // every area rather than hang waiting for admission.
         let spec = WorkloadSpec::new(11, 4, 48, 2);
         let service = AuctionService::new(
-            ServiceConfig {
-                shards: 2,
-                threads: 2,
-                flush_chunk: 8,
-                session: SessionConfig::default(),
-            },
+            ServiceConfig { threads: 2, session: SessionConfig::default() },
             spec.plans().unwrap(),
         );
         let bidders = spec.bidders();

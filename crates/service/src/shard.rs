@@ -4,43 +4,24 @@
 //! regional auction (area) belongs to exactly one shard
 //! ([`shard_of`]), every task touching a shard's state is spawned with
 //! that shard's executor affinity, and one shard's areas are processed
-//! as a serial lane. The shard count comes from `LPPA_SHARDS`
-//! ([`shard_count`]), parsed with the same strict grammar as
-//! `LPPA_THREADS` ([`lppa_par::parse_threads`]).
+//! as a serial lane. The service keeps one shard per executor worker,
+//! so the shard count follows `LPPA_THREADS`.
 //!
 //! **Determinism.** All randomness a shard consumes is derived here,
 //! per *area*, from the service master seed through the workspace's
 //! ChaCha20 [`StdRng`] — never from the shard id, the worker id or
-//! arrival timing. Shards only group areas for scheduling, so resharding
-//! (`LPPA_SHARDS=1` vs `4`) or rethreading (`LPPA_THREADS`) moves work
-//! between workers without moving a single derived bit; the CI
-//! `load-smoke` gate diffs outcome fingerprints across both knobs to
-//! enforce this.
+//! arrival timing. Shards only group areas for scheduling, so
+//! rethreading (`LPPA_THREADS=1` vs `4`) moves work between workers
+//! without moving a single derived bit; the CI `load-smoke` gate diffs
+//! outcome fingerprints across thread counts to enforce this.
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{RngCore, SeedableRng};
-
-/// Environment variable controlling the service shard count.
-pub const SHARDS_ENV: &str = "LPPA_SHARDS";
 
 /// Domain-separation constants for the per-area seed streams.
 const STREAM_MASTER: u64 = 0x5e4d_0000_0000_0001;
 const STREAM_ADMISSION: u64 = 0xad31_5510_0000_0002;
 const STREAM_SESSION: u64 = 0x5e55_10a4_0000_0003;
-
-/// The shard count: `LPPA_SHARDS` if set to a positive integer (same
-/// grammar and [`lppa_par::MAX_WORKERS`] clamp as `LPPA_THREADS`),
-/// else the worker-thread count — one shard per worker keeps every
-/// worker's lane populated without oversharding.
-pub fn shard_count() -> usize {
-    parse_shards(std::env::var(SHARDS_ENV).ok().as_deref()).unwrap_or_else(lppa_par::thread_count)
-}
-
-/// Parses an `LPPA_SHARDS`-style value; delegates to the shared
-/// worker-count grammar so the two knobs cannot drift apart.
-pub fn parse_shards(value: Option<&str>) -> Option<usize> {
-    lppa_par::parse_threads(value)
-}
 
 /// The shard an area belongs to. Stable for a given shard count;
 /// consecutive areas round-robin across shards so one hot region of the
@@ -121,13 +102,5 @@ mod tests {
         assert_eq!(master_secret(1), master_secret(1));
         assert_ne!(master_secret(1), master_secret(2));
         assert_ne!(master_secret(1), [0u8; 32]);
-    }
-
-    #[test]
-    fn parse_shards_shares_the_threads_grammar() {
-        assert_eq!(parse_shards(Some("4")), Some(4));
-        assert_eq!(parse_shards(Some("0")), None);
-        assert_eq!(parse_shards(Some(" 16 ")), Some(16));
-        assert_eq!(parse_shards(Some("99999999999999999999")), None);
     }
 }

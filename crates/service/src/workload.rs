@@ -11,7 +11,7 @@
 //!
 //! Everything derives from `WorkloadSpec::seed` through the workspace
 //! ChaCha20 RNG, so two processes with the same spec generate the same
-//! bidders bit for bit regardless of `LPPA_SHARDS`/`LPPA_THREADS`.
+//! bidders bit for bit regardless of `LPPA_THREADS`.
 
 use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;

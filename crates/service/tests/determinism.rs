@@ -1,10 +1,11 @@
 //! Integration tests for the service determinism contract: settled
-//! outcomes are byte-identical across shard counts, worker counts and
-//! flush chunk sizes, and equal to the unsharded sequential reference.
+//! outcomes are byte-identical across worker counts (and so shard
+//! counts, one shard per worker), and equal to the unsharded sequential
+//! reference.
 //!
 //! These are the in-tree mirror of the CI `load-smoke` gate (which
-//! diffs outcome fingerprints across `LPPA_SHARDS`/`LPPA_THREADS` at
-//! the process level).
+//! diffs outcome fingerprints across `LPPA_THREADS` at the process
+//! level).
 
 use lppa_service::{
     run_sequential, AreaOutcome, AuctionService, ServiceConfig, ServiceReport, WorkloadSpec,
@@ -20,15 +21,10 @@ fn decisions(report: &ServiceReport) -> (Vec<AreaOutcome>, Vec<(u32, String)>, u
     )
 }
 
-fn run_service(
-    spec: &WorkloadSpec,
-    shards: usize,
-    threads: usize,
-    flush_chunk: usize,
-) -> ServiceReport {
-    let config = ServiceConfig { shards, threads, flush_chunk, session: SessionConfig::default() };
+fn run_service(spec: &WorkloadSpec, threads: usize) -> ServiceReport {
+    let config = ServiceConfig { threads, session: SessionConfig::default() };
     let service = AuctionService::new(config, spec.plans().expect("plans"));
-    assert_eq!(service.shard_count(), shards);
+    assert_eq!(service.worker_count(), threads);
     for bidder in spec.bidders() {
         service.submit(bidder).expect("submit");
     }
@@ -37,33 +33,19 @@ fn run_service(
 
 #[test]
 fn outcomes_are_identical_across_shard_and_thread_counts() {
-    // The headline contract: every (shards, threads) cell settles every
-    // regional auction identically. 8 areas × 120 bidders keeps this
-    // fast while exercising routing, chunked flushes and stealing.
+    // The headline contract: every worker count settles every regional
+    // auction identically. Each worker count is also the shard count,
+    // so 1, 3 and 8 put 8, 2–3 and 1 areas on a shard. 8 areas × 120
+    // bidders keeps this fast while exercising routing, chunked flushes
+    // and stealing.
     let spec = WorkloadSpec::new(20260809, 8, 120, 2);
     let reference =
         run_sequential(SessionConfig::default(), spec.plans().unwrap(), &spec.bidders());
     assert_eq!(reference.areas.len(), 8, "errors: {:?}", reference.errors);
     let want = decisions(&reference);
-    for shards in [1usize, 3, 8] {
-        for threads in [1usize, 4] {
-            let got = decisions(&run_service(&spec, shards, threads, 8));
-            assert_eq!(
-                got, want,
-                "service diverged from sequential reference at shards={shards} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
-fn flush_chunk_size_never_moves_an_outcome() {
-    // Chunk boundaries change when masking happens, not what it masks.
-    let spec = WorkloadSpec::new(77, 5, 60, 3);
-    let want = decisions(&run_service(&spec, 2, 2, 8));
-    for flush_chunk in [1usize, 4, 16, 1024] {
-        let got = decisions(&run_service(&spec, 2, 2, flush_chunk));
-        assert_eq!(got, want, "flush_chunk={flush_chunk} moved an outcome");
+    for threads in [1usize, 2, 3, 4, 8] {
+        let got = decisions(&run_service(&spec, threads));
+        assert_eq!(got, want, "service diverged from sequential reference at threads={threads}");
     }
 }
 
@@ -75,15 +57,15 @@ fn more_shards_than_areas_is_harmless() {
         spec.plans().unwrap(),
         &spec.bidders(),
     ));
-    let got = decisions(&run_service(&spec, 16, 2, 8));
+    let got = decisions(&run_service(&spec, 16));
     assert_eq!(got, want);
 }
 
 #[test]
 fn repeated_runs_are_bit_stable() {
     let spec = WorkloadSpec::new(424242, 4, 40, 2);
-    let a = decisions(&run_service(&spec, 4, 4, 8));
-    let b = decisions(&run_service(&spec, 4, 4, 8));
+    let a = decisions(&run_service(&spec, 4));
+    let b = decisions(&run_service(&spec, 4));
     assert_eq!(a, b);
     assert_eq!(a.2, b.2);
 }

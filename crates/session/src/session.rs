@@ -359,7 +359,7 @@ pub fn recover_collect<S>(
 /// [`LppaError::ChannelCountMismatch`] or [`LppaError::InvalidConfig`]
 /// from the bid table; [`LppaError::Internal`] for a grant the table
 /// cannot resolve (impossible for validated submissions).
-pub fn allocate_round<S: Borrow<SuSubmission> + Sync>(
+pub fn allocate_round<S: Borrow<SuSubmission>>(
     config: &SessionConfig,
     accepted_submissions: &[S],
     auction_seed: u64,
@@ -398,7 +398,7 @@ pub fn finish_round<B, S>(
 ) -> Result<SessionOutcome, LppaError>
 where
     B: ChargeBackend,
-    S: Borrow<SuSubmission> + Sync,
+    S: Borrow<SuSubmission>,
 {
     let CommittedCollect {
         mut journal,

@@ -317,7 +317,7 @@ pub fn run_wire_round(
 /// [`finish_round`] settles through the in-process TTP. `package`
 /// builds a send, `corrupt` is the link's damage model and `ingest`
 /// hands a delivery to the engine.
-pub(crate) fn simulate_round<'s, M: Clone, S: Borrow<SuSubmission> + Sync>(
+pub(crate) fn simulate_round<'s, M: Clone, S: Borrow<SuSubmission>>(
     ttp: &Ttp,
     config: &SessionConfig,
     submissions: &'s [SuSubmission],
