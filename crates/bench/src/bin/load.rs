@@ -344,7 +344,7 @@ fn main() -> ExitCode {
     let bidders = spec.bidders();
     let setup_ns = setup_start.elapsed().as_nanos() as f64;
 
-    let service = AuctionService::new(config, plans);
+    let mut service = AuctionService::new(config, plans);
     let run_start = Instant::now();
     for bidder in bidders {
         if let Err(err) = service.submit(bidder) {

@@ -26,9 +26,7 @@ use lppa_auction::outcome::{Assignment, AuctionOutcome};
 use lppa_auction::pricing::{greedy_allocate_traced, GrantTrace};
 use lppa_crypto::commit::{CommitmentLedger, LedgerEntry};
 use lppa_crypto::tag::Tag;
-pub use lppa_prefix::backend::{
-    Backend, BackendKind, BackendPoint, BackendRange, BloomParams, MaskingBackend,
-};
+pub use lppa_prefix::backend::{Backend, BackendKind, BackendPoint, BackendRange, BloomParams};
 use lppa_rng::Rng;
 
 use crate::arena::RoundScratch;

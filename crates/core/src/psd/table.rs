@@ -15,7 +15,7 @@
 
 use lppa_auction::allocation::BidOracle;
 use lppa_auction::bidder::BidderId;
-use lppa_prefix::backend::{Backend, BackendKind, BackendPoint, BackendRange, MaskingBackend};
+use lppa_prefix::backend::{Backend, BackendKind, BackendPoint, BackendRange};
 use lppa_spectrum::ChannelId;
 
 use lppa_crypto::tag::{Tag, TagBuildHasher};

@@ -8,10 +8,10 @@
 //!   reference every other kernel is tested against;
 //! * **SHA-NI** — one block on the x86 SHA extensions (`sha256rnds2`
 //!   runs two rounds, `sha256msg1`/`sha256msg2` the message schedule).
-//!   [`crate::sha256::compress`] takes it whenever the CPU has `sha`,
-//!   `ssse3` and `sse4.1`, so every SHA-256 in the workspace — tags,
-//!   seals, TTP opens, key schedules, the commitment ledger — runs on it
-//!   without asking;
+//!   The crate-private `sha256::compress` takes it whenever the CPU has
+//!   `sha`, `ssse3` and `sse4.1`, so every SHA-256 in the workspace —
+//!   tags, seals, TTP opens, key schedules, the commitment ledger — runs
+//!   on it without asking;
 //! * **AVX2 8-lane** — the multi-buffer trick: one `__m256i` holds the
 //!   same working variable of eight independent compressions, so eight
 //!   blocks share one walk of the round structure.
@@ -25,11 +25,11 @@
 //!
 //! A batch runs at one of two widths ([`SUPPORTED_WIDTHS`]):
 //!
-//! * width 1 sends each block through [`crate::sha256::compress`]
-//!   (SHA-NI, else portable);
+//! * width 1 sends each block through `sha256::compress` (SHA-NI, else
+//!   portable);
 //! * width 8 sends each full group of eight through the AVX2 kernel and
-//!   the rest through [`crate::sha256::compress`]; without AVX2 every
-//!   block takes that per-block path.
+//!   the rest through `sha256::compress`; without AVX2 every block
+//!   takes that per-block path.
 //!
 //! [`lane_width`] picks 1 when the CPU has SHA-NI (one SHA-NI block
 //! costs less than an eighth of an AVX2 pass), else 8 when it has AVX2,

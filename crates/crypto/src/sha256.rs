@@ -236,8 +236,8 @@ pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// one 64-byte block into `state` in plain Rust.
 ///
 /// This is the reference every kernel in [`crate::lanes`] (SHA-NI, AVX2
-/// 8-lane) is tested against, and the path [`compress`] takes on CPUs
-/// without SHA-NI.
+/// 8-lane) is tested against, and the path the crate-private `compress`
+/// takes on CPUs without SHA-NI.
 pub fn compress_portable(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {

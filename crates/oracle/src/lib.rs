@@ -18,7 +18,7 @@
 //!   `lppa-session` round) plus three metamorphic rebuilds;
 //! * [`invariants`] — the named-invariant registry the runs are judged
 //!   against;
-//! * [`shrink`] — the greedy structural minimizer (halve bidders, drop
+//! * [`shrink`](mod@shrink) — the greedy structural minimizer (halve bidders, drop
 //!   channels, shrink `w`) that reduces a failure to a minimal repro;
 //! * [`repro`] — self-contained `repro_<seed>.json` files with a
 //!   one-line re-run command, written and parsed without external

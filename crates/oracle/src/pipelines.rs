@@ -4,8 +4,8 @@
 //! actually ships:
 //!
 //! * **plaintext vs masked** — the same greedy allocation over the
-//!   plaintext [`BidTable`] and the masked [`MaskedBidTable`], seeded
-//!   with the same allocation RNG;
+//!   plaintext [`BidTable`](lppa_auction::bidder::BidTable) and the
+//!   masked [`MaskedBidTable`], seeded with the same allocation RNG;
 //! * **pairwise vs indexed** conflict graphs over the same masked
 //!   location submissions;
 //! * **serial vs `lppa-par`** submission fan-out (compared by wire
@@ -18,13 +18,13 @@
 //!   mask inputs masked per message through `Tag::compute` and as one
 //!   `Tag::compute_batch` per supported SHA-256 lane width;
 //! * **sharded service vs sequential reference** — a scenario-derived
-//!   multi-area workload settled through the work-stealing
-//!   `lppa-service` event loop and through its single-threaded
-//!   unsharded reference, compared on decision fingerprints;
+//!   multi-area workload settled through the `lppa-service` shard
+//!   threads and through its single-threaded unsharded reference,
+//!   compared on decision fingerprints;
 //! * **incremental churn vs per-round rebuild** — the same seeded churn
 //!   schedule (joins, leaves, bid revisions) settled once through the
-//!   delta-applying [`lppa_service::run_churn`] incremental path (on a
-//!   sharded executor) and once by rebuilding every round from scratch
+//!   delta-applying [`lppa_service::run_churn`] incremental path (on two
+//!   shard threads) and once by rebuilding every round from scratch
 //!   (single-threaded), compared on decision fingerprints;
 //! * **simulated wire vs live sockets** — the binary-frame round over
 //!   the seeded `SimTransport` chaos schedule as reference, replayed
@@ -134,8 +134,8 @@ pub struct TagKernelRun {
 ///
 /// A small multi-area fleet is derived from the scenario seed and
 /// settled twice: once through the [`lppa_service::AuctionService`]
-/// (shards + persistent work-stealing executor + admission batching)
-/// and once through [`lppa_service::run_sequential`] (one thread, no
+/// (one thread per shard, masking on arrival, settle on full) and
+/// once through [`lppa_service::run_sequential`] (one thread, no
 /// shards, area-id order). The decision projections must be
 /// bit-identical; latency fields are timing and excluded.
 #[derive(Debug)]
@@ -445,8 +445,8 @@ impl ScenarioRun {
     ///
     /// The fleet is tiny (3 areas, ~6 bidders each) so the probe stays
     /// cheap per scenario, but it still crosses every service layer:
-    /// round-robin routing, chunked admission flushes, affinity tasks on
-    /// the work-stealing executor, and per-area session rounds — while
+    /// round-robin routing to two shard threads, arrival-time masking,
+    /// settle-on-full and drain, and per-area session rounds — while
     /// the sequential side never touches a thread.
     fn run_service(scenario: &Scenario) -> Result<ServiceRun, LppaError> {
         use lppa_service::{
@@ -461,7 +461,7 @@ impl ScenarioRun {
         let plans = spec.plans()?;
         let bidders = spec.bidders();
         let config = ServiceConfig { threads: 2, session: SessionConfig::default() };
-        let service = AuctionService::new(config, plans.clone());
+        let mut service = AuctionService::new(config, plans.clone());
         for bidder in &bidders {
             service.submit(bidder.clone())?;
         }

@@ -3,15 +3,14 @@
 //! LPPA's independent units of work are the paper's own: every SU masks
 //! its own bids on its own device, and every regional auction settles
 //! on its own. An auctioneer round (conflict graph, tie classes, greedy
-//! allocation) runs on the calling thread. The workspace is hermetic by
-//! design, so instead of `rayon` this crate provides the two runtimes
-//! those units need, built on `std::thread`:
-//!
-//! * [`par_map_staged`] — a fork-join map over a slice with per-chunk
-//!   scratch, results in input order; `build_submissions` masks a batch
-//!   of bidders through it;
-//! * [`Executor`] — a persistent work-stealing pool; the service layer
-//!   settles its areas on it.
+//! allocation) runs on the calling thread, and the service layer
+//! settles its areas on one plain `std` thread per shard. The workspace
+//! is hermetic by design, so instead of `rayon` this crate provides the
+//! one primitive the bidders need, built on `std::thread`:
+//! [`par_map_staged`], a fork-join map over a slice with per-chunk
+//! scratch and results in input order, through which
+//! `build_submissions` masks a batch of bidders. It also holds the
+//! strict parsers every environment knob in the workspace shares.
 //!
 //! # Scheduling
 //!
@@ -44,12 +43,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod executor;
-
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, OnceLock};
-
-pub use executor::Executor;
 
 /// Environment variable controlling the worker-thread count.
 pub const THREADS_ENV: &str = "LPPA_THREADS";
@@ -166,8 +161,9 @@ pub fn parse_flag(value: Option<&str>) -> Option<bool> {
     }
 }
 
-/// The number of worker threads: [`par_map_staged`]'s fan-out and the
-/// service's [`Executor`] size.
+/// The number of worker threads: [`par_map_staged`]'s fan-out, and the
+/// default shard count of the service layer's `ServiceConfig` (one
+/// thread per shard).
 ///
 /// `LPPA_THREADS` if set to a positive integer, else
 /// [`std::thread::available_parallelism`] (1 if even that is unknown).

@@ -9,7 +9,7 @@
 //! commitment-ledger deployment keeps the exact probes but chains every
 //! submission and verdict into a tamper-evident log.
 //!
-//! [`MaskingBackend`] abstracts the probe: a backend *compiles* a
+//! [`Backend`] abstracts the probe: a backend *compiles* a
 //! [`MaskedPoint`] / [`MaskedRange`] pair into its own representation
 //! and answers the membership test `point ∈ range`. Three backends
 //! ship:
@@ -116,7 +116,7 @@ impl BackendPoint {
     }
 
     /// Whether the point carries no tags (unreachable for points built
-    /// through [`MaskingBackend::compile_point`]).
+    /// through [`Backend::compile_point`]).
     pub fn is_empty(&self) -> bool {
         self.tags.is_empty()
     }
@@ -134,6 +134,9 @@ pub enum BackendRange {
 /// A masking backend: compiles masked points and ranges into probe
 /// state and answers the oblivious membership test.
 ///
+/// An enum rather than a trait: probe calls sit on the allocation hot
+/// path, and every caller knows the full closed set of backends.
+///
 /// # Contract
 ///
 /// For every genuine `(point, range)` pair masked under the same key:
@@ -150,25 +153,6 @@ pub enum BackendRange {
 /// * **Determinism** — probes are pure: the same compiled pair always
 ///   produces the same verdict, so outcomes are independent of thread
 ///   count and probe order.
-pub trait MaskingBackend {
-    /// Which backend this is.
-    fn kind(&self) -> BackendKind;
-
-    /// Compiles a masked point (bid value or location coordinate) for
-    /// probing.
-    fn compile_point(&self, point: &MaskedPoint) -> BackendPoint;
-
-    /// Compiles a masked range cover for probing.
-    fn compile_range(&self, range: &MaskedRange) -> BackendRange;
-
-    /// The oblivious membership test `point ∈ range`.
-    fn probe(&self, point: &BackendPoint, range: &BackendRange) -> bool;
-}
-
-/// The shipped backends as one concrete [`MaskingBackend`].
-///
-/// An enum rather than trait objects: probe calls sit on the allocation
-/// hot path, and every caller knows the full closed set of backends.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Backend {
     /// Exact tag-set intersection.
@@ -179,8 +163,9 @@ pub enum Backend {
     Ledger,
 }
 
-impl MaskingBackend for Backend {
-    fn kind(&self) -> BackendKind {
+impl Backend {
+    /// Which backend this is.
+    pub fn kind(&self) -> BackendKind {
         match self {
             Backend::Hmac => BackendKind::Hmac,
             Backend::Bloom(_) => BackendKind::Bloom,
@@ -188,11 +173,14 @@ impl MaskingBackend for Backend {
         }
     }
 
-    fn compile_point(&self, point: &MaskedPoint) -> BackendPoint {
+    /// Compiles a masked point (bid value or location coordinate) for
+    /// probing.
+    pub fn compile_point(&self, point: &MaskedPoint) -> BackendPoint {
         BackendPoint { tags: point.iter().copied().collect() }
     }
 
-    fn compile_range(&self, range: &MaskedRange) -> BackendRange {
+    /// Compiles a masked range cover for probing.
+    pub fn compile_range(&self, range: &MaskedRange) -> BackendRange {
         match self {
             Backend::Hmac | Backend::Ledger => BackendRange::Exact(range.iter().copied().collect()),
             Backend::Bloom(params) => {
@@ -201,7 +189,8 @@ impl MaskingBackend for Backend {
         }
     }
 
-    fn probe(&self, point: &BackendPoint, range: &BackendRange) -> bool {
+    /// The oblivious membership test `point ∈ range`.
+    pub fn probe(&self, point: &BackendPoint, range: &BackendRange) -> bool {
         match range {
             BackendRange::Exact(tags) => point.tags.iter().any(|t| tags.contains(t)),
             BackendRange::Bloom(filter) => point.tags.iter().any(|t| filter.contains(t)),

@@ -47,7 +47,7 @@ pub mod range;
 
 pub use backend::{
     parse_backend, Backend, BackendKind, BackendPoint, BackendRange, BloomFilter, BloomParams,
-    MaskingBackend, BACKEND_ENV,
+    BACKEND_ENV,
 };
 pub use error::PrefixError;
 pub use family::prefix_family;

@@ -204,7 +204,7 @@ impl MaskedPoint {
     /// A genuine family over a `width`-bit domain carries exactly
     /// `width + 1` tags: one prefix per wildcarded suffix length
     /// `0..=width`, *including* the all-wildcard root that matches every
-    /// value (see [`prefix_family`]).
+    /// value (see [`prefix_family`](crate::family::prefix_family)).
     pub fn len(&self) -> usize {
         self.tags.len()
     }

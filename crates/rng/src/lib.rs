@@ -15,8 +15,9 @@
 //!   and uniform [`choose`](seq::SliceRandom::choose);
 //! * [`testing`] — a minimal seeded property-test harness (replaces
 //!   `proptest`): every failure reproduces from a printed seed;
-//! * [`bench`] — a warmup + sampling wall-clock benchmark harness
-//!   (replaces `criterion`) that emits one JSON line per benchmark.
+//! * [`bench`](mod@bench) — a warmup + sampling wall-clock benchmark
+//!   harness (replaces `criterion`) that emits one JSON line per
+//!   benchmark.
 //!
 //! Determinism is the point: the same seed always yields the same
 //! sequence, on every platform, so any test failure in the workspace can

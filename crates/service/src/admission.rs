@@ -1,21 +1,21 @@
-//! Admission batching: coalescing incoming bidder submissions into
-//! build chunks.
+//! Admission: routing arriving bidders into an area and masking them.
 //!
 //! Bidder-side masking is the service's dominant cost (hundreds of
 //! HMAC-SHA-256 tags per submission). The [`AreaState`] *buffers*
-//! arriving bidders and builds their [`SuSubmission`]s in chunks
-//! ([`AreaState::flush`]), staged through one `MaskScratch` per area,
-//! so the service can interleave masking with routing instead of paying
-//! for every bidder when its area settles. The chunk size only moves
-//! when masking happens; each bidder's tags are batched inside
-//! `SuSubmission::build_in`, one value under one key at a time.
+//! arriving bidders and builds their [`SuSubmission`]s on demand
+//! ([`AreaState::flush`]), staged through one `MaskScratch` per area.
+//! The service's shard thread masks each bidder as soon as it routes
+//! it (`flush(1)`), so masking is spread over the arrival stream
+//! instead of paid when the area settles; each bidder's tags are
+//! batched inside `SuSubmission::build_in`, one value under one key at
+//! a time.
 //!
 //! Determinism: each arriving bidder is assigned a child seed drawn
 //! from the area's admission RNG **at routing time, in arrival
-//! order** — before any task scheduling happens. Chunk boundaries,
-//! shard placement and build interleaving can then vary freely with
-//! `LPPA_THREADS` without moving a single masked bit, because each
-//! submission derives only from its own `(seed, input)` pair.
+//! order**. Flush sizes, shard placement and thread count can then vary
+//! freely with `LPPA_THREADS` without moving a single masked bit,
+//! because each submission derives only from its own `(seed, input)`
+//! pair.
 
 use std::time::Instant;
 
@@ -49,8 +49,8 @@ struct Buffered {
 
 /// Per-area admission and build state.
 ///
-/// Owned by exactly one shard; the service serializes access through
-/// the shard lock.
+/// Owned by exactly one shard thread, which alone routes, masks and
+/// settles it.
 #[derive(Debug)]
 pub struct AreaState {
     /// Area id (stable across shard counts).
@@ -112,12 +112,6 @@ impl AreaState {
         } else {
             false
         }
-    }
-
-    /// Whether at least `chunk` bidders are buffered and unbuilt — the
-    /// flush threshold.
-    pub fn flushable(&self, chunk: usize) -> bool {
-        self.buffered.len() >= chunk.max(1)
     }
 
     /// Whether every expected bidder has been routed.
@@ -202,7 +196,7 @@ mod tests {
             let mut state = area(20);
             for (loc, bids) in inputs(20) {
                 state.route(loc, bids);
-                while state.flushable(chunk) {
+                if state.routed().is_multiple_of(chunk) {
                     state.flush(chunk).unwrap();
                 }
             }

@@ -28,10 +28,9 @@
 //!
 //! Determinism across `LPPA_THREADS` follows the service layer's usual
 //! argument: every bit derives from per-area seed streams fixed before
-//! any task is spawned; the executor only moves timing.
+//! any thread starts; the shard count only moves timing.
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use lppa::arena::{MaskScratch, RoundScratch};
@@ -40,7 +39,6 @@ use lppa::ttp::Ttp;
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::{AuctioneerModel, IncrementalAuctioneer, LppaError, PrivateAuctionResult};
 use lppa_auction::bidder::Location;
-use lppa_par::Executor;
 use lppa_rng::rngs::StdRng;
 use lppa_rng::{Rng, RngCore, SeedableRng};
 
@@ -438,24 +436,44 @@ struct ChurnShard {
     errors: Vec<(u32, String)>,
 }
 
-/// Drives `spec` in `mode` over `threads` executor workers, one shard
-/// each, returning the aggregated report.
+impl ChurnShard {
+    /// Runs one round in every resident area; a failed area stops
+    /// churning.
+    fn run_round(&mut self, spec: &ChurnSpec) {
+        let errors = &mut self.errors;
+        self.areas.retain_mut(|area| match area.run_round(spec) {
+            Ok(()) => true,
+            Err(err) => {
+                errors.push((area.area, err.to_string()));
+                false
+            }
+        });
+    }
+}
+
+/// Drives `spec` in `mode` over `threads` shards (clamped to
+/// `[1, MAX_WORKERS]`), returning the aggregated report.
 ///
-/// Outcome bits are a pure function of `(spec, mode)` — the worker
-/// count moves only timing — and the two modes' fingerprints are equal
-/// by construction (see the module docs).
+/// Each round runs every shard on its own scoped thread and ends when
+/// all of them have finished, since round r+1's deltas depend on round
+/// r's state. Outcome bits are a pure function of `(spec, mode)` — the
+/// thread count moves only timing — and the two modes' fingerprints
+/// are equal by construction (see the module docs).
 ///
 /// # Errors
 ///
 /// Propagates plan construction failures. Per-area round failures land
 /// in [`ChurnReport::errors`]; the failed area stops churning.
+///
+/// # Panics
+///
+/// Re-raises a panic from any area's round.
 pub fn run_churn(
     spec: &ChurnSpec,
     mode: ChurnMode,
     threads: usize,
 ) -> Result<ChurnReport, LppaError> {
-    let exec = Executor::new(threads);
-    let n_shards = exec.worker_count();
+    let n_shards = threads.clamp(1, lppa_par::MAX_WORKERS);
     let plans = spec.workload.plans()?;
     let mut shards: Vec<ChurnShard> = (0..n_shards).map(|_| ChurnShard::default()).collect();
 
@@ -477,47 +495,24 @@ pub fn run_churn(
         initial_bidders += 1;
     }
 
-    // Round loop: one task per shard per round, with an idle barrier
-    // between rounds (round r+1's deltas depend on round r's state).
-    let shared: Vec<Arc<Mutex<ChurnShard>>> =
-        shards.into_iter().map(|s| Arc::new(Mutex::new(s))).collect();
-    let spec_copy = *spec;
     let mut latency = LatencyRecorder::new();
     for _ in 0..spec.rounds {
         let start = Instant::now();
-        for shard in &shared {
-            let shard = Arc::clone(shard);
-            exec.spawn(move || {
-                let mut guard = shard.lock().unwrap();
-                let guard = &mut *guard;
-                let mut failed: Vec<usize> = Vec::new();
-                for (i, area) in guard.areas.iter_mut().enumerate() {
-                    if let Err(err) = area.run_round(&spec_copy) {
-                        guard.errors.push((area.area, err.to_string()));
-                        failed.push(i);
-                    }
-                }
-                for i in failed.into_iter().rev() {
-                    guard.areas.remove(i);
-                }
-            });
-        }
-        exec.wait_idle();
+        std::thread::scope(|scope| {
+            for shard in &mut shards {
+                scope.spawn(|| shard.run_round(spec));
+            }
+        });
         latency.record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
     }
-    exec.shutdown();
 
     // Assemble in area-id order so shard topology cannot leak into the
     // report fingerprint.
     let mut areas: Vec<ChurnArea> = Vec::new();
     let mut errors: Vec<(u32, String)> = Vec::new();
-    for shard in shared {
-        let mut guard = Arc::try_unwrap(shard)
-            .map_err(|_| LppaError::Internal { what: "executor kept a shard alive".into() })?
-            .into_inner()
-            .unwrap();
-        areas.append(&mut guard.areas);
-        errors.append(&mut guard.errors);
+    for mut shard in shards {
+        areas.append(&mut shard.areas);
+        errors.append(&mut shard.errors);
     }
     areas.sort_by_key(|a| a.area);
     errors.sort_by_key(|(area, _)| *area);

@@ -1,22 +1,22 @@
 //! # lppa-service — sharded multi-auction service layer
 //!
 //! Runs **many** LPPA regional auctions concurrently as a long-lived
-//! service: bidders stream in, are routed to their area's shard,
-//! coalesced into masking batches, and each area's full
-//! Announce → Collect → Allocate → Charge → Settle state machine
-//! (`lppa-session`) settles on the persistent work-stealing executor
-//! from `lppa-par`. Areas are the unit of concurrency: one area's round
-//! runs on one worker, and `LPPA_THREADS` sets the worker count, which
+//! service: bidders stream in over a channel to their area's shard
+//! thread, which masks each one as it arrives and settles each area's
+//! full Announce → Collect → Allocate → Charge → Settle state machine
+//! (`lppa-session`) as soon as its last expected bidder is in. Areas
+//! are the unit of concurrency: one area's round runs on the one thread
+//! that owns its shard, and `LPPA_THREADS` sets the thread count, which
 //! is also the shard count.
 //!
-//! The crate is organized as four layers:
+//! The crate is organized as six modules:
 //!
-//! - [`shard`] — shard topology (one shard per worker) and the
+//! - [`shard`] — shard topology (one thread per shard) and the
 //!   deterministic per-area ChaCha20 seed derivation everything else
 //!   consumes.
-//! - [`admission`] — per-area buffering of arriving bidders and the
-//!   flush chunks that interleave masking with routing.
-//! - [`service`] — the [`AuctionService`] event loop, its epoch-based
+//! - [`admission`] — per-area routing of arriving bidders, their seeds
+//!   and their masking.
+//! - [`service`] — the [`AuctionService`] with its shard threads and
 //!   [`drain`](AuctionService::drain), and the unsharded
 //!   [`run_sequential`] reference it must match bit for bit.
 //! - [`churn`] — the sustained-churn path: persistent areas applying

@@ -1,43 +1,43 @@
 //! The sharded multi-auction service.
 //!
 //! An [`AuctionService`] drives many concurrent `lppa-session` rounds —
-//! one per regional auction (area) — over the persistent work-stealing
-//! [`Executor`] from `lppa-par`. Areas are grouped into **shards**
-//! ([`crate::shard`]), one per executor worker; each shard's state sits
-//! behind one mutex and all tasks touching it are spawned with that
-//! shard's affinity, so a shard's areas form a serial lane while
-//! distinct shards proceed in parallel (work stealing keeps idle
-//! workers busy when shards are uneven). Each area's round runs on the
-//! one worker that settles it.
+//! one per regional auction (area). Areas are grouped into **shards**
+//! ([`crate::shard`]), and each shard is one `std` thread that owns its
+//! open [`AreaState`]s outright: no lock guards them and no other
+//! thread touches them. A shard's areas form a serial lane while
+//! distinct shards proceed in parallel, and each area's round runs on
+//! the one thread that owns it.
 //!
 //! The life of a round:
 //!
-//! 1. [`AuctionService::submit`] routes each arriving bidder to its
-//!    area's shard and buffers it (admission batching,
-//!    [`crate::admission`]). Whenever eight bidders are buffered, a
-//!    flush task is spawned so masking overlaps with routing.
-//! 2. When an area's last expected bidder arrives, a run task settles
-//!    the whole round (final flush → Announce → Collect → Allocate →
-//!    Charge → Settle) while later bidders keep streaming into other
-//!    areas.
-//! 3. [`AuctionService::drain`] closes admission: remaining areas are
-//!    force-settled in epoch waves ([`Executor::wait_idle`] barriers)
-//!    and the per-shard results are assembled into a [`ServiceReport`]
-//!    in area-id order.
+//! 1. [`AuctionService::submit`] checks the area on the calling thread
+//!    (unknown and full areas are refused there) and sends the bidder
+//!    to its shard's inbox, an `mpsc` channel.
+//! 2. The shard's thread routes and masks each bidder as it arrives.
+//!    When an area's last expected bidder is routed, the thread settles
+//!    the whole round (Announce → Collect → Allocate → Charge →
+//!    Settle) before reading its next bidder, while other shards keep
+//!    going.
+//! 3. [`AuctionService::drain`] closes the inboxes: each thread settles
+//!    whatever is still open and hands back its outcomes through
+//!    `join`, and the results are assembled into a [`ServiceReport`] in
+//!    area-id order.
 //!
 //! **Determinism.** Every outcome bit derives from `(plans, arrival
 //! order)` alone: seeds are fixed per area at plan time and per bidder
-//! at route time, and report assembly sorts by area id. The executor's
-//! scheduling — worker (and so shard) count, stealing — affects only
-//! timing, which is why [`run_sequential`] (no executor, no shards)
-//! must and does produce byte-identical outcomes; the differential
-//! oracle and the CI `load-smoke` job both hold the service to that.
+//! at route time, each shard reads its inbox in submission order, and
+//! report assembly sorts by area id. The thread (and so shard) count
+//! affects only timing, which is why [`run_sequential`] (no threads, no
+//! shards) must and does produce byte-identical outcomes; the
+//! differential oracle and the CI `load-smoke` job both hold the service
+//! to that.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::panic;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
 
 use lppa::LppaError;
-use lppa_par::Executor;
 use lppa_session::{AuctionSession, SessionConfig, SessionOutcome};
 
 use crate::admission::{AreaState, BidderInput};
@@ -45,16 +45,12 @@ use crate::metrics::{LatencyRecorder, LatencySummary};
 use crate::shard::shard_of;
 use crate::workload::AreaPlan;
 
-/// Bidders an area buffers before a flush task masks them. It sets only
-/// how often masking interleaves with routing; outcomes never depend on
-/// it.
-const FLUSH_CHUNK: usize = 8;
-
 /// Configuration for an [`AuctionService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
-    /// Executor worker threads, one shard each. Defaults to
-    /// `LPPA_THREADS`, else the machine's available parallelism.
+    /// Worker threads, one shard each (clamped to
+    /// `[1, MAX_WORKERS]`). Defaults to `LPPA_THREADS`, else the
+    /// machine's available parallelism.
     pub threads: usize,
     /// Per-area session (state machine) configuration.
     pub session: SessionConfig,
@@ -90,8 +86,9 @@ pub struct AreaOutcome {
     /// The session's decision fingerprint
     /// ([`SessionOutcome::fingerprint`]).
     pub fingerprint: u64,
-    /// Ready-to-settled latency. Timing-only: excluded from every
-    /// fingerprint and equality below is on decisions, not clocks.
+    /// Latency from routing the area's last bidder to settling it.
+    /// Timing-only: excluded from every fingerprint and equality below
+    /// is on decisions, not clocks.
     pub latency_ns: u64,
 }
 
@@ -143,113 +140,147 @@ impl ServiceReport {
     }
 }
 
-/// Mutable state owned by one shard, behind the shard lock.
+/// What one shard settled: its areas' outcomes, failures and latency
+/// samples, merged into the [`ServiceReport`] at assembly.
 #[derive(Debug, Default)]
-struct ShardState {
-    /// Open areas, keyed by area id.
-    areas: BTreeMap<u32, AreaState>,
-    /// Settled outcomes, in completion order (sorted at assembly).
-    outcomes: Vec<AreaOutcome>,
-    /// Failed areas, in completion order.
+struct Settled {
+    /// Settled outcomes, in settling order (sorted at assembly).
+    areas: Vec<AreaOutcome>,
+    /// Failed areas, in settling order.
     errors: Vec<(u32, String)>,
-    /// Per-shard latency samples, merged at assembly.
     latency: LatencyRecorder,
 }
 
-/// State shared between the submitting thread and executor tasks.
-struct Inner {
-    shards: Vec<Mutex<ShardState>>,
-    session: SessionConfig,
-}
-
-impl Inner {
-    /// Flushes one admission chunk of `area` if it still has one
-    /// buffered (a ready-run may have raced ahead — then this is a
-    /// no-op).
-    fn flush_area_chunk(&self, shard: usize, area: u32) {
-        let mut guard = self.shards[shard].lock().unwrap();
-        if let Some(state) = guard.areas.get_mut(&area) {
-            if let Err(err) = state.flush(FLUSH_CHUNK) {
-                let failed = guard.areas.remove(&area).expect("area present");
-                guard.errors.push((failed.area, err.to_string()));
-            }
-        }
-    }
-
-    /// Removes `area` from its shard and settles its round end to end.
-    fn run_area(&self, shard: usize, area: u32) {
-        let state = { self.shards[shard].lock().unwrap().areas.remove(&area) };
-        let Some(mut state) = state else { return };
-        let result = settle(&mut state, &self.session);
-        let latency_ns =
-            state.ready_at.map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        let mut guard = self.shards[shard].lock().unwrap();
-        match result {
+impl Settled {
+    /// Records one area's round, or its failure.
+    fn record(&mut self, state: &AreaState, round: Result<SessionOutcome, LppaError>) {
+        match round {
             Ok(outcome) => {
-                let out = area_outcome(&state, &outcome, latency_ns.unwrap_or(0));
-                guard.latency.record(out.latency_ns);
-                guard.outcomes.push(out);
+                let latency_ns = state
+                    .ready_at
+                    .map_or(0, |t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+                self.latency.record(latency_ns);
+                self.areas.push(AreaOutcome {
+                    area: state.area,
+                    bidders: state.routed(),
+                    accepted: outcome.accepted.len(),
+                    assignments: outcome.outcome.assignments().len(),
+                    revenue: outcome.revenue(),
+                    fingerprint: outcome.fingerprint(),
+                    latency_ns,
+                });
             }
-            Err(err) => guard.errors.push((state.area, err.to_string())),
+            Err(err) => self.errors.push((state.area, err.to_string())),
         }
     }
-}
 
-/// Runs one area's remaining pipeline: final flush, then the full
-/// session state machine from the area's derived seed.
-fn settle(state: &mut AreaState, session: &SessionConfig) -> Result<SessionOutcome, LppaError> {
-    state.flush_all()?;
-    AuctionSession::new(&state.ttp, *session).run(state.submissions(), state.session_seed)
-}
-
-/// Reduces a settled session to its report line.
-fn area_outcome(state: &AreaState, outcome: &SessionOutcome, latency_ns: u64) -> AreaOutcome {
-    AreaOutcome {
-        area: state.area,
-        bidders: state.routed(),
-        accepted: outcome.accepted.len(),
-        assignments: outcome.outcome.assignments().len(),
-        revenue: outcome.revenue(),
-        fingerprint: outcome.fingerprint(),
-        latency_ns,
+    /// Masks whatever `state` still buffers, runs its session round
+    /// from the area's derived seed and records the result.
+    fn settle(&mut self, mut state: AreaState, session: &SessionConfig) {
+        let round = state.flush_all().and_then(|()| {
+            AuctionSession::new(&state.ttp, *session).run(state.submissions(), state.session_seed)
+        });
+        self.record(&state, round);
     }
+}
+
+/// Merges per-shard results into one report in area-id order, so the
+/// shard topology cannot leak into it.
+fn assemble(shards: impl IntoIterator<Item = Settled>) -> ServiceReport {
+    let mut report = ServiceReport::default();
+    let mut latency = LatencyRecorder::new();
+    for mut shard in shards {
+        report.areas.append(&mut shard.areas);
+        report.errors.append(&mut shard.errors);
+        latency.merge(&shard.latency);
+    }
+    report.areas.sort_by_key(|a| a.area);
+    report.errors.sort_by_key(|(area, _)| *area);
+    report.latency = latency.summary();
+    report
+}
+
+/// One shard's thread: routes and masks each bidder from `inbox` as it
+/// arrives, settles an area as soon as its last expected bidder is
+/// routed, and once the inbox closes settles whatever is still open.
+fn run_shard(
+    mut areas: BTreeMap<u32, AreaState>,
+    inbox: Receiver<BidderInput>,
+    session: SessionConfig,
+) -> Settled {
+    let mut settled = Settled::default();
+    for bidder in inbox {
+        // `submit` sends only bidders for open areas with room left, so
+        // a miss is an area that already failed to mask a bidder.
+        let Some(state) = areas.get_mut(&bidder.area) else { continue };
+        let ready = state.route(bidder.location, bidder.bids);
+        match state.flush(1) {
+            Ok(()) if !ready => {}
+            Ok(()) => settled.settle(areas.remove(&bidder.area).expect("area is open"), &session),
+            Err(err) => {
+                let state = areas.remove(&bidder.area).expect("area is open");
+                settled.record(&state, Err(err));
+            }
+        }
+    }
+    for state in areas.into_values() {
+        settled.settle(state, &session);
+    }
+    settled
+}
+
+/// A fresh area for `plan`.
+fn area_state(plan: AreaPlan) -> AreaState {
+    AreaState::new(
+        plan.area,
+        plan.ttp,
+        plan.policy,
+        plan.expected,
+        plan.seeds.admission,
+        plan.seeds.session,
+    )
 }
 
 /// The sharded multi-auction service. See the module docs for the
 /// round lifecycle and determinism contract.
+///
+/// Dropping a service without [`drain`](Self::drain) still joins its
+/// shard threads, which settle every open area first; the results are
+/// discarded.
 pub struct AuctionService {
-    exec: Executor,
-    inner: Arc<Inner>,
+    /// One inbox per shard thread.
+    inboxes: Vec<Sender<BidderInput>>,
+    workers: Vec<JoinHandle<Settled>>,
+    /// Bidders each area may still receive.
+    remaining: BTreeMap<u32, usize>,
 }
 
 impl AuctionService {
     /// Opens a service over `plans`, one regional auction per plan,
-    /// with one shard per executor worker.
+    /// and starts one thread per shard.
     pub fn new(config: ServiceConfig, plans: Vec<AreaPlan>) -> Self {
-        let exec = Executor::new(config.threads);
-        let n_shards = exec.worker_count();
-        let mut shards: Vec<ShardState> = (0..n_shards).map(|_| ShardState::default()).collect();
+        let n_shards = config.threads.clamp(1, lppa_par::MAX_WORKERS);
+        let mut remaining = BTreeMap::new();
+        let mut shards: Vec<BTreeMap<u32, AreaState>> =
+            (0..n_shards).map(|_| BTreeMap::new()).collect();
         for plan in plans {
-            let shard = shard_of(plan.area, n_shards);
-            shards[shard].areas.insert(
-                plan.area,
-                AreaState::new(
-                    plan.area,
-                    plan.ttp,
-                    plan.policy,
-                    plan.expected,
-                    plan.seeds.admission,
-                    plan.seeds.session,
-                ),
-            );
+            remaining.insert(plan.area, plan.expected);
+            shards[shard_of(plan.area, n_shards)].insert(plan.area, area_state(plan));
         }
-        Self {
-            exec,
-            inner: Arc::new(Inner {
-                shards: shards.into_iter().map(Mutex::new).collect(),
-                session: config.session,
-            }),
-        }
+        let (inboxes, workers) = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, areas)| {
+                let (tx, rx) = mpsc::channel();
+                let session = config.session;
+                let worker = std::thread::Builder::new()
+                    .name(format!("lppa-shard-{i}"))
+                    .spawn(move || run_shard(areas, rx, session))
+                    .expect("spawn shard thread");
+                (tx, worker)
+            })
+            .unzip();
+        Self { inboxes, workers, remaining }
     }
 
     /// Service with environment-derived configuration.
@@ -257,89 +288,67 @@ impl AuctionService {
         Self::new(ServiceConfig::from_env(), plans)
     }
 
-    /// Number of executor workers, which is also the number of shards.
+    /// Number of shard threads.
     pub fn worker_count(&self) -> usize {
-        self.exec.worker_count()
+        self.inboxes.len()
     }
 
-    /// Routes one bidder to its area. Seeds are assigned here, in
-    /// arrival order; background flush/settle tasks are spawned as
-    /// chunks fill and areas complete.
+    /// Sends one bidder to its area's shard, where it is routed (and
+    /// given its seed, in arrival order) and masked.
     ///
     /// # Errors
     ///
-    /// [`LppaError::Internal`] if the bidder targets an unknown or
-    /// already-settled area.
-    pub fn submit(&self, bidder: BidderInput) -> Result<(), LppaError> {
-        let shard = shard_of(bidder.area, self.inner.shards.len());
-        let (flush, ready) = {
-            let mut guard = self.inner.shards[shard].lock().unwrap();
-            let Some(state) = guard.areas.get_mut(&bidder.area) else {
-                return Err(LppaError::Internal {
-                    what: format!("submit to unknown or settled area {}", bidder.area),
-                });
-            };
-            let ready = state.route(bidder.location, bidder.bids);
-            (!ready && state.flushable(FLUSH_CHUNK), ready)
+    /// [`LppaError::Internal`] if the bidder targets an unknown area or
+    /// one that has already received every bidder it expects; no shard
+    /// sees a refused bidder.
+    ///
+    /// # Panics
+    ///
+    /// If the area's shard thread died settling a round.
+    pub fn submit(&mut self, bidder: BidderInput) -> Result<(), LppaError> {
+        let area = bidder.area;
+        let Some(remaining) = self.remaining.get_mut(&area) else {
+            return Err(LppaError::Internal { what: format!("submit to unknown area {area}") });
         };
-        if ready {
-            let inner = Arc::clone(&self.inner);
-            let area = bidder.area;
-            self.exec.spawn_on(shard, move || inner.run_area(shard, area));
-        } else if flush {
-            let inner = Arc::clone(&self.inner);
-            let area = bidder.area;
-            self.exec.spawn_on(shard, move || inner.flush_area_chunk(shard, area));
+        if *remaining == 0 {
+            return Err(LppaError::Internal {
+                what: format!("submit to full area {area}: every expected bidder has arrived"),
+            });
         }
+        *remaining -= 1;
+        let shard = shard_of(area, self.inboxes.len());
+        self.inboxes[shard]
+            .send(bidder)
+            .expect("a shard thread reads its inbox until drain unless a round panicked");
         Ok(())
     }
 
-    /// Closes admission and settles everything still open, then
-    /// assembles the report.
+    /// Closes admission, waits for every shard to settle what is still
+    /// open (under-subscribed areas settle with the bidders they have)
+    /// and assembles the report.
     ///
-    /// Runs as an epoch loop: each epoch spawns one tick task per shard
-    /// (settling every area still open on it) and waits on the
-    /// executor's idle barrier; the loop ends on the first epoch with
-    /// nothing left to do. Under-subscribed areas are settled with the
-    /// bidders they have.
-    pub fn drain(self) -> ServiceReport {
-        loop {
-            // In-flight flush tasks may still create work; the barrier
-            // plus re-check makes the loop quiesce deterministically.
-            self.exec.wait_idle();
-            let mut any = false;
-            for shard in 0..self.inner.shards.len() {
-                let open: Vec<u32> =
-                    self.inner.shards[shard].lock().unwrap().areas.keys().copied().collect();
-                if open.is_empty() {
-                    continue;
-                }
-                any = true;
-                let inner = Arc::clone(&self.inner);
-                self.exec.spawn_on(shard, move || {
-                    for area in open {
-                        inner.run_area(shard, area);
-                    }
-                });
-            }
-            self.exec.wait_idle();
-            if !any {
-                break;
-            }
+    /// # Panics
+    ///
+    /// Re-raises the panic of a shard thread that died settling a round.
+    pub fn drain(mut self) -> ServiceReport {
+        self.inboxes.clear();
+        let shards: Vec<Settled> = self
+            .workers
+            .drain(..)
+            .map(|worker| worker.join().unwrap_or_else(|panic| panic::resume_unwind(panic)))
+            .collect();
+        assemble(shards)
+    }
+}
+
+impl Drop for AuctionService {
+    fn drop(&mut self) {
+        self.inboxes.clear();
+        for worker in self.workers.drain(..) {
+            // A shard thread's panic has already been reported by its
+            // own panic hook; re-raising it here could abort.
+            let _ = worker.join();
         }
-        self.exec.shutdown();
-        let mut report = ServiceReport::default();
-        let mut latency = LatencyRecorder::new();
-        for shard in &self.inner.shards {
-            let mut guard = shard.lock().unwrap();
-            report.areas.append(&mut guard.outcomes);
-            report.errors.append(&mut guard.errors);
-            latency.merge(&guard.latency);
-        }
-        report.areas.sort_by_key(|a| a.area);
-        report.errors.sort_by_key(|(area, _)| *area);
-        report.latency = latency.summary();
-        report
     }
 }
 
@@ -354,45 +363,20 @@ pub fn run_sequential(
     plans: Vec<AreaPlan>,
     bidders: &[BidderInput],
 ) -> ServiceReport {
-    let mut areas: BTreeMap<u32, AreaState> = plans
-        .into_iter()
-        .map(|p| {
-            (
-                p.area,
-                AreaState::new(
-                    p.area,
-                    p.ttp,
-                    p.policy,
-                    p.expected,
-                    p.seeds.admission,
-                    p.seeds.session,
-                ),
-            )
-        })
-        .collect();
+    let mut areas: BTreeMap<u32, AreaState> =
+        plans.into_iter().map(|plan| (plan.area, area_state(plan))).collect();
     for bidder in bidders {
-        if let Some(state) = areas.get_mut(&bidder.area) {
+        // Bidders past an area's expected count are refused by
+        // `AuctionService::submit`, so they are skipped here too.
+        if let Some(state) = areas.get_mut(&bidder.area).filter(|s| s.routed() < s.expected) {
             state.route(bidder.location, bidder.bids.clone());
         }
     }
-    let mut report = ServiceReport::default();
-    let mut latency = LatencyRecorder::new();
-    for (area, mut state) in areas {
-        match settle(&mut state, &session) {
-            Ok(outcome) => {
-                let latency_ns = state
-                    .ready_at
-                    .map(|t| t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64)
-                    .unwrap_or(0);
-                let out = area_outcome(&state, &outcome, latency_ns);
-                latency.record(out.latency_ns);
-                report.areas.push(out);
-            }
-            Err(err) => report.errors.push((area, err.to_string())),
-        }
+    let mut settled = Settled::default();
+    for state in areas.into_values() {
+        settled.settle(state, &session);
     }
-    report.latency = latency.summary();
-    report
+    assemble([settled])
 }
 
 #[cfg(test)]
@@ -409,7 +393,7 @@ mod tests {
         let spec = WorkloadSpec::new(20260809, 6, 90, 2);
         let bidders = spec.bidders();
         let config = ServiceConfig { threads: 3, session: SessionConfig::default() };
-        let service = AuctionService::new(config, spec.plans().unwrap());
+        let mut service = AuctionService::new(config, spec.plans().unwrap());
         for b in &bidders {
             service.submit(b.clone()).unwrap();
         }
@@ -425,18 +409,30 @@ mod tests {
     #[test]
     fn submit_to_unknown_area_is_an_error() {
         let spec = WorkloadSpec::new(5, 2, 8, 2);
-        let service = AuctionService::new(
-            ServiceConfig { threads: 1, session: SessionConfig::default() },
-            spec.plans().unwrap(),
-        );
-        for b in spec.bidders() {
-            service.submit(b).unwrap();
+        let mut stream = spec.bidders();
+        // One bidder more than area 0 expects, sent after the whole
+        // stream: refused whether or not area 0 has settled yet.
+        let extra = stream[0].clone();
+        for threads in [1, 2, 4] {
+            let config = ServiceConfig { threads, session: SessionConfig::default() };
+            let mut service = AuctionService::new(config, spec.plans().unwrap());
+            for b in &stream {
+                service.submit(b.clone()).unwrap();
+            }
+            let mut stray = extra.clone();
+            stray.area = 99;
+            assert!(service.submit(stray).is_err());
+            assert!(service.submit(extra.clone()).is_err(), "threads={threads}");
+            let report = service.drain();
+            assert_eq!(report.areas.len(), 2, "errors: {:?}", report.errors);
+
+            // The reference skips the same bidder.
+            stream.push(extra.clone());
+            let reference = run_sequential(config.session, spec.plans().unwrap(), &stream);
+            stream.pop();
+            assert_eq!(strip_timing(&report), strip_timing(&reference), "threads={threads}");
+            assert_eq!(report.fingerprint(), reference.fingerprint());
         }
-        let mut stray = spec.bidders()[0].clone();
-        stray.area = 99;
-        assert!(service.submit(stray).is_err());
-        let report = service.drain();
-        assert_eq!(report.areas.len(), 2, "errors: {:?}", report.errors);
     }
 
     #[test]
@@ -444,7 +440,7 @@ mod tests {
         // Route only half the expected bidders: drain must still settle
         // every area rather than hang waiting for admission.
         let spec = WorkloadSpec::new(11, 4, 48, 2);
-        let service = AuctionService::new(
+        let mut service = AuctionService::new(
             ServiceConfig { threads: 2, session: SessionConfig::default() },
             spec.plans().unwrap(),
         );

@@ -1,17 +1,17 @@
 //! Sharding and deterministic per-area seed derivation.
 //!
-//! A **shard** is the service's unit of affinity and serialization: each
-//! regional auction (area) belongs to exactly one shard
-//! ([`shard_of`]), every task touching a shard's state is spawned with
-//! that shard's executor affinity, and one shard's areas are processed
-//! as a serial lane. The service keeps one shard per executor worker,
-//! so the shard count follows `LPPA_THREADS`.
+//! A **shard** is the service's unit of ownership and serialization:
+//! each regional auction (area) belongs to exactly one shard
+//! ([`shard_of`]), one thread owns each shard's state, and one shard's
+//! areas are processed as a serial lane. The service and the churn
+//! runner keep one thread per shard, so the shard count follows
+//! `LPPA_THREADS`.
 //!
 //! **Determinism.** All randomness a shard consumes is derived here,
 //! per *area*, from the service master seed through the workspace's
-//! ChaCha20 [`StdRng`] — never from the shard id, the worker id or
+//! ChaCha20 [`StdRng`] — never from the shard id, the thread or
 //! arrival timing. Shards only group areas for scheduling, so
-//! rethreading (`LPPA_THREADS=1` vs `4`) moves work between workers
+//! rethreading (`LPPA_THREADS=1` vs `4`) moves work between threads
 //! without moving a single derived bit; the CI `load-smoke` gate diffs
 //! outcome fingerprints across thread counts to enforce this.
 

@@ -23,7 +23,7 @@ fn decisions(report: &ServiceReport) -> (Vec<AreaOutcome>, Vec<(u32, String)>, u
 
 fn run_service(spec: &WorkloadSpec, threads: usize) -> ServiceReport {
     let config = ServiceConfig { threads, session: SessionConfig::default() };
-    let service = AuctionService::new(config, spec.plans().expect("plans"));
+    let mut service = AuctionService::new(config, spec.plans().expect("plans"));
     assert_eq!(service.worker_count(), threads);
     for bidder in spec.bidders() {
         service.submit(bidder).expect("submit");
@@ -36,8 +36,8 @@ fn outcomes_are_identical_across_shard_and_thread_counts() {
     // The headline contract: every worker count settles every regional
     // auction identically. Each worker count is also the shard count,
     // so 1, 3 and 8 put 8, 2–3 and 1 areas on a shard. 8 areas × 120
-    // bidders keeps this fast while exercising routing, chunked flushes
-    // and stealing.
+    // bidders keeps this fast while exercising routing, arrival-time
+    // masking and settling on uneven shards.
     let spec = WorkloadSpec::new(20260809, 8, 120, 2);
     let reference =
         run_sequential(SessionConfig::default(), spec.plans().unwrap(), &spec.bidders());

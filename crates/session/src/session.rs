@@ -2,7 +2,8 @@
 //!
 //! One session runs a full LPPA round — `Announce → Collect → Allocate →
 //! Charge → Settle` — as a deterministic discrete-event simulation over
-//! the unreliable [`SimTransport`] link and the periodically-online
+//! the unreliable [`SimTransport`](crate::transport::SimTransport) link
+//! and the periodically-online
 //! [`TtpLink`]. Every failure is handled per bidder:
 //!
 //! * **Collect**: each bidder retries with exponential backoff until the
@@ -11,9 +12,9 @@
 //!   never arrives intact are quarantined as `MissedDeadline`; ragged or
 //!   truncated submissions are quarantined as `Rejected`. The phase
 //!   commits with whoever made the deadline, provided the configured
-//!   quorum is met. One [`CollectEngine`](crate::wire_round::CollectEngine)
-//!   does all of this for typed messages, frames and the socket round;
-//!   typed messages borrow each bidder's submission.
+//!   quorum is met. One [`CollectEngine`] does all of this for typed
+//!   messages, frames and the socket round; typed messages borrow each
+//!   bidder's submission.
 //! * **Allocate**: the greedy allocation runs over the accepted subset,
 //!   seeded from the session seed — independent of transport timing.
 //! * **Charge**: sealed winning bids drain through the [`TtpLink`] queue
@@ -77,9 +78,9 @@ pub struct SessionConfig {
     /// Ticks the charge phase may spend before undecided grants degrade
     /// to provisional allocations.
     pub charge_deadline: u64,
-    /// Which [`MaskingBackend`](lppa_prefix::backend::MaskingBackend)
-    /// answers the allocation's masked comparisons. The default reads
-    /// the `LPPA_BACKEND` environment knob (falling back to `hmac`).
+    /// Which [`Backend`](lppa_prefix::backend::Backend) answers the
+    /// allocation's masked comparisons. The default reads the
+    /// `LPPA_BACKEND` environment knob (falling back to `hmac`).
     /// `ledger` additionally audits the round through a [`RoundLedger`]
     /// whose settle-time root lands in [`SessionOutcome::ledger_root`].
     pub backend: BackendKind,
