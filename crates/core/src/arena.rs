@@ -7,7 +7,7 @@
 //! discipline that replaces that churn:
 //!
 //! * [`MaskScratch`] (re-exported from `lppa_prefix`) pools retired
-//!   [`TagSet`](lppa_prefix::masked::TagSet)s and the prefix staging
+//!   masked tag runs (points and covers apart) and the prefix staging
 //!   buffer, so masking a submission or verifying a charge touches the
 //!   allocator only until the pool is warm;
 //! * [`AllocScratch`] (re-exported from `lppa_auction`) holds the greedy
@@ -38,7 +38,7 @@ pub use lppa_prefix::MaskScratch;
 /// checked out per round and reset instead of freed.
 #[derive(Debug, Default)]
 pub struct RoundScratch {
-    /// Pooled tag sets + prefix staging (submission builds, charge
+    /// Pooled tag runs + prefix staging (submission builds, charge
     /// verification).
     pub mask: MaskScratch,
     /// Greedy-allocation buffers.

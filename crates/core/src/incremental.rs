@@ -159,7 +159,7 @@ impl IncrementalAuctioneer {
 
     /// Replaces the bidder's submission in place (a bid revision, or any
     /// re-mask), returning the retired one so callers can recycle its
-    /// tag sets. The slot keeps its id; only this bidder's tags move.
+    /// tag runs. The slot keeps its id; only this bidder's tags move.
     ///
     /// # Panics
     ///
@@ -417,7 +417,7 @@ impl IncrementalAuctioneer {
     /// [`live_slots`](IncrementalAuctioneer::live_slots).
     ///
     /// Tie classes, the conflict-matrix backing store, allocation
-    /// buffers and charge-verification tag sets all come from the pool
+    /// buffers and charge-verification tag runs all come from the pool
     /// and return to it, so a warm sustained-churn round runs nearly
     /// allocation-free. The result is bit-identical to
     /// [`run_private_auction_with_model`](crate::protocol::run_private_auction_with_model)

@@ -110,7 +110,7 @@ impl ChannelBid {
         })
     }
 
-    /// Retires this bid, recycling its two tag sets into `scratch`.
+    /// Retires this bid, recycling its two tag runs into `scratch`.
     fn reclaim(self, scratch: &mut MaskScratch) {
         scratch.reclaim_point(self.point);
         scratch.reclaim_range(self.range);
@@ -212,7 +212,7 @@ impl AdvancedBidSubmission {
     }
 
     /// [`AdvancedBidSubmission::build`] staging through a pooled
-    /// [`MaskScratch`]: bit-identical output, allocation-free tag sets
+    /// [`MaskScratch`]: bit-identical output, allocation-free tag runs
     /// once the pool is warm.
     ///
     /// # Errors
@@ -285,10 +285,12 @@ impl AdvancedBidSubmission {
         Ok(Self { bids, presented_positive })
     }
 
-    /// Retires this submission, recycling every per-channel tag set into
-    /// `scratch` for the next [`build_in`](Self::build_in).
+    /// Retires this submission, recycling every per-channel tag run into
+    /// `scratch` for the next [`build_in`](Self::build_in). The last
+    /// channel goes first, so the next build takes each run back for
+    /// the channel it served.
     pub fn reclaim(self, scratch: &mut MaskScratch) {
-        for bid in self.bids {
+        for bid in self.bids.into_iter().rev() {
             bid.reclaim(scratch);
         }
     }

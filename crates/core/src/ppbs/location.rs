@@ -145,13 +145,14 @@ impl LocationSubmission {
         Ok(())
     }
 
-    /// Retires this submission, recycling its four tag sets into
-    /// `scratch` for the next [`build_in`](Self::build_in).
+    /// Retires this submission, recycling its four tag runs into
+    /// `scratch` for the next [`build_in`](Self::build_in), in the
+    /// reverse of the order it masks them.
     pub fn reclaim(self, scratch: &mut MaskScratch) {
-        scratch.reclaim_point(self.point_x);
-        scratch.reclaim_range(self.range_x);
         scratch.reclaim_point(self.point_y);
         scratch.reclaim_range(self.range_y);
+        scratch.reclaim_point(self.point_x);
+        scratch.reclaim_range(self.range_x);
     }
 
     /// The auctioneer's conflict test: does `self`'s point fall inside
@@ -212,12 +213,16 @@ impl LocationSubmission {
     /// Structural validation of a *received* submission against the
     /// auction's configuration: every axis must carry a full prefix
     /// family (`loc_bits + 1` point tags) and a fully padded cover
-    /// (`max_cover_len(loc_bits)` range tags).
+    /// (`max_cover_len(loc_bits)` range tags), and each axis's point
+    /// must lie in its own cover.
     ///
-    /// Genuine bidders always satisfy this by construction; a failure
-    /// means transport truncation or tampering, and the auctioneer should
-    /// quarantine the sender rather than let a partial tag set silently
-    /// erase conflicts.
+    /// Genuine bidders always satisfy this by construction — a
+    /// coordinate `x` lies in its interference range
+    /// `[x − (2λ−1), x + (2λ−1)]`. A failure means transport truncation
+    /// or tampering, and the auctioneer should quarantine the sender
+    /// rather than let a partial or made-up group silently erase
+    /// conflicts: random tags of the right counts match nobody, so the
+    /// forger would share a channel with every neighbour.
     ///
     /// # Errors
     ///
@@ -235,6 +240,14 @@ impl LocationSubmission {
             if got != want {
                 return Err(LppaError::MalformedSubmission {
                     reason: format!("location {axis} has {got} tags, expected {want}"),
+                });
+            }
+        }
+        let axes = [("x", &self.point_x, &self.range_x), ("y", &self.point_y, &self.range_y)];
+        for (axis, point, range) in axes {
+            if !point.in_range(range) {
+                return Err(LppaError::MalformedSubmission {
+                    reason: format!("location {axis} point lies outside its own range"),
                 });
             }
         }

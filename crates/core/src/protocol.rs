@@ -59,9 +59,9 @@ impl SuSubmission {
         Self::build_in(location, raw_bids, ttp, policy, rng, &mut MaskScratch::new())
     }
 
-    /// [`SuSubmission::build`] staging every tag set through a pooled
+    /// [`SuSubmission::build`] staging every tag run through a pooled
     /// [`MaskScratch`]: bit-identical output, and allocation-free masking
-    /// once the pool holds enough retired sets (see
+    /// once the pool holds enough retired runs (see
     /// [`reclaim`](Self::reclaim)).
     ///
     /// # Errors
@@ -118,12 +118,15 @@ impl SuSubmission {
         })
     }
 
-    /// Retires this submission, recycling every backing tag set into
+    /// Retires this submission, recycling every backing tag run into
     /// `scratch` — the churn service reclaims leavers' and revisers'
-    /// submissions so sustained rounds stop touching the allocator.
+    /// submissions so sustained rounds stop touching the allocator. The
+    /// bids go first and the location last, the reverse of the build
+    /// order, so the next build of the same shape refills every run
+    /// without growing it.
     pub fn reclaim(self, scratch: &mut MaskScratch) {
-        self.location.reclaim(scratch);
         self.bids.reclaim(scratch);
+        self.location.reclaim(scratch);
     }
 
     /// Total transmission size in bytes.
@@ -146,11 +149,13 @@ impl SuSubmission {
 /// auctioneer's edge.
 ///
 /// Checks that the channel count matches the auction, every prefix
-/// family carries exactly `width + 1` tags and every range cover is
-/// padded to the worst-case cardinality — the shape every genuine
-/// bidder produces by construction. Ragged or truncated submissions are
-/// the fingerprint of transport damage or tampering and must be
-/// quarantined per bidder, not allowed to poison the round.
+/// family carries exactly `width + 1` tags, every range cover is
+/// padded to the worst-case cardinality, and every point — each location
+/// axis and each channel's presented bid — lies in its own cover: the
+/// shape every genuine bidder produces by construction (a shown bid
+/// lies in `[shown, max]`). Ragged, truncated or made-up groups are the
+/// fingerprint of transport damage or tampering and must be quarantined
+/// per bidder, not allowed to poison the round.
 ///
 /// # Errors
 ///
@@ -197,6 +202,11 @@ pub fn validate_submission_with(
                     "channel {ch} range has {} tags, expected {want_range}",
                     bid.range.len()
                 ),
+            });
+        }
+        if !bid.point.in_range(&bid.range) {
+            return Err(LppaError::MalformedSubmission {
+                reason: format!("channel {ch} point lies outside its own range"),
             });
         }
     }
@@ -292,7 +302,7 @@ where
 /// The charge half of a round: opens every grant's sealed bid at the
 /// TTP, borrowing each winning bid's sealed value and masked point in
 /// place (no [`ChargeRequest`] clones) and verifying through the
-/// scratch's tag-set pool. Fail-fast: the first tampering verdict
+/// scratch's tag-run pool. Fail-fast: the first tampering verdict
 /// aborts the round. Returns the first-price outcome and the grants
 /// the TTP invalidated (disguised zeros), and appends one `charge`
 /// record per grant to `ledger` when given.
@@ -590,6 +600,37 @@ mod tests {
         };
         let err = validate_submission(&truncated, &ttp).unwrap_err();
         assert!(err.to_string().contains("channel 1 point"), "{err}");
+    }
+
+    #[test]
+    fn validate_submission_rejects_a_point_outside_its_own_cover() {
+        // A correctly sized cover that does not contain the channel's
+        // presented point: the bid claims one value and ranks as another.
+        let (ttp, mut rng) = ttp(2, 8);
+        let policy = ZeroReplacePolicy::never(ttp.config().bid_max());
+        let sub =
+            SuSubmission::build(Location::new(9, 9), &[3, 5], &ttp, &policy, &mut rng).unwrap();
+        let config = *ttp.config();
+        let max = config.transformed_max();
+        let mut bids = sub.bids.bids().to_vec();
+        bids[0].range = lppa_prefix::MaskedRange::mask_padded(
+            &ttp.bidder_keys().gb[0],
+            config.transformed_bits(),
+            max - 1,
+            max,
+            &mut rng,
+        )
+        .unwrap();
+        let forged = SuSubmission {
+            location: sub.location.clone(),
+            bids: crate::ppbs::bid::AdvancedBidSubmission::from_parts(
+                bids,
+                sub.bids.presented_positive().to_vec(),
+            )
+            .unwrap(),
+        };
+        let err = validate_submission(&forged, &ttp).unwrap_err();
+        assert!(err.to_string().contains("channel 0 point lies outside its own range"), "{err}");
     }
 
     #[test]

@@ -6,14 +6,17 @@
 //!
 //! * **Zero-copy** — [`SubmissionView`] and [`ChargeRequestView`] borrow
 //!   the payload; tag groups are validated and checksummed as `&[u8]`
-//!   slices (via [`lppa_prefix::raw_tag_mix`]) before a single
-//!   allocation happens. Materialization into typed structs is a
+//!   slices (via [`lppa_prefix::TagRunView`], which folds each tag's
+//!   [`lppa_prefix::raw_tag_mix`] while it checks the order) before a
+//!   single allocation happens. Materialization into typed structs is a
 //!   separate, explicit step taken only after the transport checksum
 //!   passes.
 //! * **Canonical** — tag groups are encoded strictly ascending bytewise
 //!   and re-encoding a decoded payload is byte-identical, so frames are
 //!   deterministic and duplicates are caught by an `O(n)` adjacency
-//!   scan.
+//!   scan. A masked group already holds its tags as such a run, so the
+//!   encoder writes each group as it is stored and the decoder hands
+//!   validated runs over without sorting them.
 //! * **Bounded** — every count field is checked against a hard cap
 //!   ([`MAX_GROUP_TAGS`], [`MAX_WIRE_CHANNELS`]) *before* it is used to
 //!   size anything, so a hostile length prefix cannot drive allocation
@@ -37,7 +40,7 @@
 
 use lppa_crypto::seal::{SealedValue, SEALED_WIRE_LEN};
 use lppa_crypto::tag::{Tag, TAG_LEN};
-use lppa_prefix::{raw_tag_mix, MaskedPoint, MaskedRange};
+use lppa_prefix::TagRunView;
 
 use crate::error::LppaError;
 use crate::ppbs::bid::{AdvancedBidSubmission, ChannelBid};
@@ -165,86 +168,26 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A validated, borrowed view of one encoded tag group.
-///
-/// Construction proves the group is non-empty, within [`MAX_GROUP_TAGS`]
-/// and strictly ascending; [`fingerprint`](Self::fingerprint) then
-/// equals the materialized set's fingerprint without building one.
-#[derive(Clone, Copy, Debug)]
-pub struct TagGroupView<'a> {
-    bytes: &'a [u8],
+/// Parses one encoded tag group: a count within `1..=`[`MAX_GROUP_TAGS`],
+/// then that many tags, strictly ascending. The returned view's
+/// [`fingerprint`](TagRunView::fingerprint) was folded during the order
+/// check, and equals the materialized group's fingerprint.
+fn parse_group<'a>(cursor: &mut Cursor<'a>) -> Result<TagRunView<'a>, WireError> {
+    let count = usize::from(cursor.u16()?);
+    if count == 0 || count > MAX_GROUP_TAGS {
+        return Err(WireError::TagCount { count });
+    }
+    TagRunView::parse(cursor.take(count * TAG_LEN)?).ok_or(WireError::UnsortedTags)
 }
 
-impl<'a> TagGroupView<'a> {
-    fn parse(cursor: &mut Cursor<'a>) -> Result<Self, WireError> {
-        let count = usize::from(cursor.u16()?);
-        if count == 0 || count > MAX_GROUP_TAGS {
-            return Err(WireError::TagCount { count });
-        }
-        let bytes = cursor.take(count * TAG_LEN)?;
-        let mut prev: Option<&[u8]> = None;
-        for chunk in bytes.chunks_exact(TAG_LEN) {
-            if prev.is_some_and(|p| p >= chunk) {
-                return Err(WireError::UnsortedTags);
-            }
-            prev = Some(chunk);
-        }
-        Ok(Self { bytes })
-    }
-
-    /// Number of tags in the group.
-    pub fn len(&self) -> usize {
-        self.bytes.len() / TAG_LEN
-    }
-
-    /// Always false — empty groups never parse.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The raw 16-byte tag slices, in wire (ascending) order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a [u8]> {
-        self.bytes.chunks_exact(TAG_LEN)
-    }
-
-    /// Order-independent digest equal to the materialized tag set's
-    /// `fingerprint()`, computed without allocating.
-    pub fn fingerprint(&self) -> u64 {
-        self.iter().map(raw_tag_mix).fold(0u64, |acc, h| acc ^ h)
-    }
-
-    fn tags(&self) -> impl Iterator<Item = Tag> + '_ {
-        self.iter().map(|chunk| {
-            let mut bytes = [0u8; TAG_LEN];
-            bytes.copy_from_slice(chunk);
-            Tag::from_bytes(bytes)
-        })
-    }
-
-    /// Materializes the group as a masked point family.
-    pub fn to_point(&self) -> Result<MaskedPoint, LppaError> {
-        Ok(MaskedPoint::from_tags(self.tags())?)
-    }
-
-    /// Materializes the group as a masked range cover.
-    pub fn to_range(&self) -> Result<MaskedRange, LppaError> {
-        Ok(MaskedRange::from_tags(self.tags())?)
-    }
-}
-
-/// Appends a tag group in canonical (strictly ascending) order, sorting
-/// through `keys`, a scratch buffer the caller reuses across groups.
-///
-/// A tag's big-endian `u128` orders exactly as its bytes do, so the
-/// group sorts as integers and is written back byte for byte.
-fn encode_tags<'t, I: Iterator<Item = &'t Tag>>(tags: I, keys: &mut Vec<u128>, out: &mut Vec<u8>) {
-    keys.clear();
-    keys.extend(tags.map(|t| u128::from_be_bytes(*t.as_bytes())));
-    keys.sort_unstable();
-    debug_assert!(u16::try_from(keys.len()).is_ok());
-    out.extend_from_slice(&(keys.len() as u16).to_le_bytes());
-    for key in keys.iter() {
-        out.extend_from_slice(&key.to_be_bytes());
+/// Appends a tag group: its count, then its tags. Masked groups store
+/// their tags as a strictly ascending run, which is the canonical wire
+/// order, so the run is written as it is.
+fn encode_tags(tags: &[Tag], out: &mut Vec<u8>) {
+    debug_assert!(u16::try_from(tags.len()).is_ok());
+    out.extend_from_slice(&(tags.len() as u16).to_le_bytes());
+    for tag in tags {
+        out.extend_from_slice(tag.as_bytes());
     }
 }
 
@@ -268,22 +211,22 @@ fn sealed_from_slice(bytes: &[u8]) -> SealedValue {
 #[derive(Clone, Copy, Debug)]
 pub struct LocationView<'a> {
     /// Masked x-axis point family.
-    pub point_x: TagGroupView<'a>,
+    pub point_x: TagRunView<'a>,
     /// Masked x-axis range cover.
-    pub range_x: TagGroupView<'a>,
+    pub range_x: TagRunView<'a>,
     /// Masked y-axis point family.
-    pub point_y: TagGroupView<'a>,
+    pub point_y: TagRunView<'a>,
     /// Masked y-axis range cover.
-    pub range_y: TagGroupView<'a>,
+    pub range_y: TagRunView<'a>,
 }
 
 impl LocationView<'_> {
     fn parse<'a>(cursor: &mut Cursor<'a>) -> Result<LocationView<'a>, WireError> {
         Ok(LocationView {
-            point_x: TagGroupView::parse(cursor)?,
-            range_x: TagGroupView::parse(cursor)?,
-            point_y: TagGroupView::parse(cursor)?,
-            range_y: TagGroupView::parse(cursor)?,
+            point_x: parse_group(cursor)?,
+            range_x: parse_group(cursor)?,
+            point_y: parse_group(cursor)?,
+            range_y: parse_group(cursor)?,
         })
     }
 
@@ -299,14 +242,15 @@ impl LocationView<'_> {
             .wrapping_add(self.range_y.fingerprint())
     }
 
-    /// Materializes the typed submission.
-    pub fn materialize(&self) -> Result<LocationSubmission, LppaError> {
-        Ok(LocationSubmission::from_parts(
-            self.point_x.to_point()?,
-            self.range_x.to_range()?,
-            self.point_y.to_point()?,
-            self.range_y.to_range()?,
-        ))
+    /// Materializes the typed submission, copying each validated run
+    /// out with its fingerprint.
+    pub fn materialize(&self) -> LocationSubmission {
+        LocationSubmission::from_parts(
+            self.point_x.to_point(),
+            self.range_x.to_range(),
+            self.point_y.to_point(),
+            self.range_y.to_range(),
+        )
     }
 }
 
@@ -314,9 +258,9 @@ impl LocationView<'_> {
 #[derive(Clone, Copy, Debug)]
 pub struct ChannelBidView<'a> {
     /// Masked point family of the presented value.
-    pub point: TagGroupView<'a>,
+    pub point: TagRunView<'a>,
     /// Masked padded range cover.
-    pub range: TagGroupView<'a>,
+    pub range: TagRunView<'a>,
     /// The 36 sealed-price wire bytes.
     pub sealed: &'a [u8],
 }
@@ -324,8 +268,8 @@ pub struct ChannelBidView<'a> {
 impl ChannelBidView<'_> {
     fn parse<'a>(cursor: &mut Cursor<'a>) -> Result<ChannelBidView<'a>, WireError> {
         Ok(ChannelBidView {
-            point: TagGroupView::parse(cursor)?,
-            range: TagGroupView::parse(cursor)?,
+            point: parse_group(cursor)?,
+            range: parse_group(cursor)?,
             sealed: cursor.take(SEALED_WIRE_LEN)?,
         })
     }
@@ -340,12 +284,12 @@ impl ChannelBidView<'_> {
             .wrapping_add(sealed_fingerprint(self.sealed))
     }
 
-    fn materialize(&self) -> Result<ChannelBid, LppaError> {
-        Ok(ChannelBid {
-            point: self.point.to_point()?,
-            range: self.range.to_range()?,
+    fn materialize(&self) -> ChannelBid {
+        ChannelBid {
+            point: self.point.to_point(),
+            range: self.range.to_range(),
             sealed: sealed_from_slice(self.sealed),
-        })
+        }
     }
 }
 
@@ -414,18 +358,28 @@ impl<'a> SubmissionView<'a> {
             // these bytes — but stay total anyway.
             let view = ChannelBidView::parse(&mut cursor)
                 .map_err(|e| LppaError::MalformedSubmission { reason: e.to_string() })?;
-            bids.push(view.materialize()?);
+            bids.push(view.materialize());
             presented.push(self.presented[ch / 8] & (1 << (ch % 8)) != 0);
         }
         let submission = SuSubmission {
-            location: self.location.materialize()?,
+            location: self.location.materialize(),
             bids: AdvancedBidSubmission::from_parts(bids, presented)?,
         };
         Ok((submission, self.attempt, self.declared_checksum))
     }
 }
 
-/// Encodes a submission message payload.
+/// The number of bytes [`encode_submission`] appends for `submission`:
+/// the 16-byte message header, a 2-byte count per tag group, the
+/// channel count and presented bitmap, and the transmitted tags and
+/// sealed prices themselves ([`SuSubmission::wire_len`]).
+pub fn submission_payload_len(submission: &SuSubmission) -> usize {
+    let n = submission.bids.n_channels();
+    16 + 2 * 4 + 2 + n.div_ceil(8) + 2 * 2 * n + submission.wire_len()
+}
+
+/// Encodes a submission message payload, growing `out` once by
+/// [`submission_payload_len`].
 pub fn encode_submission(
     bidder: usize,
     attempt: u32,
@@ -433,28 +387,25 @@ pub fn encode_submission(
     submission: &SuSubmission,
     out: &mut Vec<u8>,
 ) {
+    out.reserve(submission_payload_len(submission));
     out.extend_from_slice(&(bidder as u32).to_le_bytes());
     out.extend_from_slice(&attempt.to_le_bytes());
     out.extend_from_slice(&checksum.to_le_bytes());
-    let mut keys = Vec::with_capacity(MAX_GROUP_TAGS);
     let loc = &submission.location;
-    encode_tags(loc.point_x().iter(), &mut keys, out);
-    encode_tags(loc.range_x().iter(), &mut keys, out);
-    encode_tags(loc.point_y().iter(), &mut keys, out);
-    encode_tags(loc.range_y().iter(), &mut keys, out);
+    encode_tags(loc.point_x().as_slice(), out);
+    encode_tags(loc.range_x().as_slice(), out);
+    encode_tags(loc.point_y().as_slice(), out);
+    encode_tags(loc.range_y().as_slice(), out);
     let n = submission.bids.n_channels();
     debug_assert!(n <= MAX_WIRE_CHANNELS);
     out.extend_from_slice(&(n as u16).to_le_bytes());
-    let mut bitmap = vec![0u8; n.div_ceil(8)];
-    for (ch, &flag) in submission.bids.presented_positive().iter().enumerate() {
-        if flag {
-            bitmap[ch / 8] |= 1 << (ch % 8);
-        }
+    // Bit `ch % 8` of byte `ch / 8` is channel `ch`'s presented flag.
+    for flags in submission.bids.presented_positive().chunks(8) {
+        out.push(flags.iter().rev().fold(0u8, |byte, &flag| byte << 1 | u8::from(flag)));
     }
-    out.extend_from_slice(&bitmap);
     for bid in submission.bids.bids() {
-        encode_tags(bid.point.iter(), &mut keys, out);
-        encode_tags(bid.range.iter(), &mut keys, out);
+        encode_tags(bid.point.as_slice(), out);
+        encode_tags(bid.range.as_slice(), out);
         out.extend_from_slice(&bid.sealed.to_wire_bytes());
     }
 }
@@ -507,7 +458,7 @@ pub struct ChargeRequestView<'a> {
     /// The channel the winner won.
     pub channel: u32,
     sealed: &'a [u8],
-    point: TagGroupView<'a>,
+    point: TagRunView<'a>,
 }
 
 impl ChargeRequestView<'_> {
@@ -516,7 +467,7 @@ impl ChargeRequestView<'_> {
         Ok(ChargeRequest {
             channel: ChannelId(self.channel as usize),
             sealed: sealed_from_slice(self.sealed),
-            point: self.point.to_point()?,
+            point: self.point.to_point(),
         })
     }
 }
@@ -526,7 +477,7 @@ pub fn encode_charge_request(slot: u32, request: &ChargeRequest, out: &mut Vec<u
     out.extend_from_slice(&slot.to_le_bytes());
     out.extend_from_slice(&(request.channel.0 as u32).to_le_bytes());
     out.extend_from_slice(&request.sealed.to_wire_bytes());
-    encode_tags(request.point.iter(), &mut Vec::new(), out);
+    encode_tags(request.point.as_slice(), out);
 }
 
 /// Decodes a charge request payload.
@@ -539,7 +490,7 @@ pub fn decode_charge_request(payload: &[u8]) -> Result<ChargeRequestView<'_>, Wi
     let slot = cursor.u32()?;
     let channel = cursor.u32()?;
     let sealed = cursor.take(SEALED_WIRE_LEN)?;
-    let point = TagGroupView::parse(&mut cursor)?;
+    let point = parse_group(&mut cursor)?;
     cursor.finish()?;
     Ok(ChargeRequestView { slot, channel, sealed, point })
 }
@@ -713,6 +664,14 @@ mod tests {
         let mut again = Vec::new();
         encode_submission(3, attempt, checksum, &sub, &mut again);
         assert_eq!(buf, again);
+    }
+
+    #[test]
+    fn payload_len_is_exact() {
+        for channels in [1, 2, 8, 9, 129] {
+            let (_, sub, buf) = encoded(7, channels);
+            assert_eq!(buf.len(), submission_payload_len(&sub), "k={channels}");
+        }
     }
 
     #[test]

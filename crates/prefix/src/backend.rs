@@ -34,7 +34,7 @@
 
 use lppa_crypto::tag::Tag;
 
-use crate::masked::{MaskedPoint, MaskedRange, TagSet};
+use crate::masked::{runs_intersect, MaskedPoint, MaskedRange};
 
 /// Environment knob naming the active masking backend.
 pub const BACKEND_ENV: &str = "LPPA_BACKEND";
@@ -100,7 +100,7 @@ pub fn parse_backend(value: Option<&str>) -> Option<BackendKind> {
 
 /// A point compiled for backend probing.
 ///
-/// Points stay exact tag lists in every shipped backend: the
+/// Points stay exact ascending tag runs in every shipped backend: the
 /// prefix-family side of the membership test is small (`width + 1`
 /// tags) and probing it against a compiled range is where the backends
 /// differ.
@@ -125,8 +125,10 @@ impl BackendPoint {
 /// A range cover compiled for backend probing.
 #[derive(Clone, Debug)]
 pub enum BackendRange {
-    /// The exact tag cover (Hmac and Ledger backends).
-    Exact(TagSet),
+    /// The exact tag cover as an ascending run (Hmac and Ledger
+    /// backends), probed by the same merge as
+    /// [`MaskedPoint::in_range`].
+    Exact(Vec<Tag>),
     /// An encrypted Bloom filter over the cover tags (Bloom backend).
     Bloom(BloomFilter),
 }
@@ -192,7 +194,7 @@ impl Backend {
     /// The oblivious membership test `point ∈ range`.
     pub fn probe(&self, point: &BackendPoint, range: &BackendRange) -> bool {
         match range {
-            BackendRange::Exact(tags) => point.tags.iter().any(|t| tags.contains(t)),
+            BackendRange::Exact(tags) => runs_intersect(&point.tags, tags),
             BackendRange::Bloom(filter) => point.tags.iter().any(|t| filter.contains(t)),
         }
     }

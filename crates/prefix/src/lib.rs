@@ -52,6 +52,6 @@ pub use backend::{
 pub use error::PrefixError;
 pub use family::prefix_family;
 pub use index::{FrozenTagIndex, TagIndex};
-pub use masked::{raw_tag_mix, MaskScratch, MaskedPoint, MaskedRange};
+pub use masked::{raw_tag_mix, MaskScratch, MaskedPoint, MaskedRange, TagRunView};
 pub use prefix::{Prefix, MASK_INPUT_LEN, MAX_WIDTH};
 pub use range::{max_cover_len, range_prefixes};

@@ -1,4 +1,4 @@
-//! HMAC-masked prefix sets: what actually travels to the auctioneer.
+//! HMAC-masked prefix groups: what actually travels to the auctioneer.
 //!
 //! A bidder never transmits prefixes in the clear. Instead it sends
 //! `H_g(O(prefix))` for every member of a prefix family or range cover,
@@ -13,24 +13,22 @@
 //!   hidden number;
 //! * [`MaskedRange`] — a masked *range cover* `H(Q([a, b]))`, representing
 //!   a hidden interval, optionally padded to a fixed cardinality.
-
-use std::collections::HashSet;
+//!
+//! Both hold their tags as one *canonical run*: strictly ascending by
+//! bytes (the same as big-endian `u128` order), deduplicated, with the
+//! group's XOR fingerprint computed once when the run is built. That is
+//! the order the wire codec transmits, so an encoder writes a run as it
+//! is, a decoder copies a validated run without sorting it, and the
+//! membership test is a merge of two runs.
 
 use lppa_crypto::keys::HmacKey;
-use lppa_crypto::tag::{Tag, TagBuildHasher, TAG_LEN};
+use lppa_crypto::tag::{Tag, TAG_LEN};
 use lppa_rng::RngCore;
 
 use crate::error::PrefixError;
 use crate::family::prefix_family_into;
 use crate::prefix::{Prefix, MASK_INPUT_LEN};
 use crate::range::{max_cover_len, range_prefixes_into};
-
-/// The set type backing masked families and covers.
-///
-/// Tags are HMAC output, so the sets use the cheap fixed
-/// [`TagBuildHasher`] rather than SipHash — membership probes are the
-/// auctioneer's innermost loop.
-pub type TagSet = HashSet<Tag, TagBuildHasher>;
 
 /// Upper bound on prefixes masked per batch chunk: a prefix family has
 /// at most `MAX_WIDTH + 1 = 33` members and a range cover at most
@@ -39,38 +37,160 @@ pub type TagSet = HashSet<Tag, TagBuildHasher>;
 const MASK_CHUNK: usize = 64;
 
 /// Masks a slice of prefixes under `key` through the multi-lane tag
-/// kernel.
+/// kernel, appending the tags to `tags` in kernel delivery order.
 ///
 /// Mask inputs are staged in a stack buffer ([`MASK_CHUNK`] prefixes per
-/// pass) and tags land directly in the result set, so the only heap
-/// allocation is the `TagSet` itself — and the batched kernel amortizes
-/// one SHA-256 message schedule across up to eight prefixes.
-fn mask_all_into(key: &HmacKey, prefixes: &[Prefix], tags: &mut TagSet) {
+/// pass), so the only heap memory touched is `tags` itself — and the
+/// batched kernel amortizes one SHA-256 message schedule across up to
+/// eight prefixes.
+fn mask_all_into(key: &HmacKey, prefixes: &[Prefix], tags: &mut Vec<Tag>) {
     tags.reserve(prefixes.len());
     let mut inputs = [[0u8; MASK_INPUT_LEN]; MASK_CHUNK];
     for chunk in prefixes.chunks(MASK_CHUNK) {
         for (input, prefix) in inputs.iter_mut().zip(chunk) {
             prefix.write_mask_input(input);
         }
-        Tag::compute_batch_into(key, &inputs[..chunk.len()], |_, tag| {
-            tags.insert(tag);
-        });
+        Tag::compute_batch_into(key, &inputs[..chunk.len()], |_, tag| tags.push(tag));
     }
 }
 
-/// Reusable masking scratch: a pool of retired [`TagSet`]s plus a prefix
+/// The sort key of a tag: its big-endian `u128`, which orders exactly
+/// as the tag's bytes do.
+fn tag_key(tag: &Tag) -> u128 {
+    u128::from_be_bytes(*tag.as_bytes())
+}
+
+/// Whether two ascending runs share a tag: one merge walk of `u128`
+/// compares, `O(|a| + |b|)` whatever the tags are.
+pub(crate) fn runs_intersect(a: &[Tag], b: &[Tag]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (tag_key(&a[i]), tag_key(&b[j]));
+        if x == y {
+            return true;
+        }
+        i += usize::from(x < y);
+        j += usize::from(y < x);
+    }
+    false
+}
+
+/// One masked group's transmitted tags: a strictly ascending run and
+/// its XOR fingerprint.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct TagRun {
+    tags: Vec<Tag>,
+    fingerprint: u64,
+}
+
+impl TagRun {
+    /// A run over `tags` in any order, duplicates collapsed.
+    fn new(tags: Vec<Tag>) -> Self {
+        let mut run = Self { tags, fingerprint: 0 };
+        run.canonicalize();
+        run
+    }
+
+    /// Sorts and dedups the tags unless they are already strictly
+    /// ascending (the wire order), then folds the fingerprint.
+    fn canonicalize(&mut self) {
+        if !self.tags.windows(2).all(|w| tag_key(&w[0]) < tag_key(&w[1])) {
+            self.tags.sort_unstable_by_key(tag_key);
+            self.tags.dedup();
+        }
+        self.fingerprint =
+            self.tags.iter().fold(0u64, |acc, tag| acc ^ raw_tag_mix(tag.as_bytes()));
+    }
+
+    /// [`TagRun::new`] over transmitted tags, refusing an empty group.
+    fn from_tags<I: IntoIterator<Item = Tag>>(tags: I) -> Result<Self, PrefixError> {
+        let tags: Vec<Tag> = tags.into_iter().collect();
+        if tags.is_empty() {
+            return Err(PrefixError::EmptyTagSet);
+        }
+        Ok(Self::new(tags))
+    }
+}
+
+/// A borrowed run of transmitted tags, proven strictly ascending, with
+/// the fingerprint folded during that check.
+///
+/// This is how a wire decoder holds a tag group before deciding to keep
+/// it: [`parse`](Self::parse) validates the bytes and digests them in
+/// one pass without allocating, and [`to_point`](Self::to_point) /
+/// [`to_range`](Self::to_range) then copy the run out as it is — no
+/// sort, no second fold.
+#[derive(Clone, Copy, Debug)]
+pub struct TagRunView<'a> {
+    bytes: &'a [u8],
+    fingerprint: u64,
+}
+
+impl<'a> TagRunView<'a> {
+    /// Checks that `bytes` is a non-empty sequence of whole
+    /// [`TAG_LEN`]-byte tags in strictly ascending byte order, folding
+    /// their [`raw_tag_mix`]es on the way. `None` for an empty, ragged,
+    /// unsorted or duplicated run.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        if bytes.is_empty() || !bytes.len().is_multiple_of(TAG_LEN) {
+            return None;
+        }
+        let mut fingerprint = 0u64;
+        let mut prev: Option<u128> = None;
+        for chunk in bytes.chunks_exact(TAG_LEN) {
+            let tag: &[u8; TAG_LEN] = chunk.try_into().expect("chunks_exact yields whole tags");
+            let key = u128::from_be_bytes(*tag);
+            if prev.is_some_and(|p| p >= key) {
+                return None;
+            }
+            prev = Some(key);
+            fingerprint ^= raw_tag_mix(tag);
+        }
+        Some(Self { bytes, fingerprint })
+    }
+
+    /// The fingerprint the materialized group will carry.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The run as an owned, canonical [`TagRun`].
+    fn to_run(self) -> TagRun {
+        let tags = self
+            .bytes
+            .chunks_exact(TAG_LEN)
+            .map(|chunk| Tag::from_bytes(chunk.try_into().expect("chunks_exact yields whole tags")))
+            .collect();
+        TagRun { tags, fingerprint: self.fingerprint }
+    }
+
+    /// Copies the run out as a masked point family.
+    pub fn to_point(&self) -> MaskedPoint {
+        MaskedPoint { run: self.to_run() }
+    }
+
+    /// Copies the run out as a masked range cover.
+    pub fn to_range(&self) -> MaskedRange {
+        MaskedRange { run: self.to_run() }
+    }
+}
+
+/// Reusable masking scratch: pools of retired tag runs plus a prefix
 /// staging buffer.
 ///
-/// Checked-out sets are *cleared but not shrunk*, so a warm pool serves
-/// every `mask_in`/`mask_padded_in` call without touching the allocator.
-/// Tag sets are unordered and every consumer in the workspace is
-/// iteration-order independent (membership probes, XOR fingerprints,
-/// sorted candidate lists), so a pooled set of any prior capacity is
-/// observationally identical to a fresh one — the pooled-vs-fresh
-/// oracle invariant holds the whole pipeline to that.
+/// Points and covers keep separate pools, and checked-out runs are
+/// cleared but not shrunk. A submission's groups are reclaimed in the
+/// reverse of the order they are masked in, so the next build of the
+/// same shape takes every run back in its old role and fills it without
+/// growing: a warm pool serves every `mask_in`/`mask_padded_in` call
+/// without touching the allocator. A run's contents depend only on the
+/// tags masked into it, never on its capacity, so a pooled run is
+/// identical to a fresh one — the pooled-vs-fresh oracle invariant
+/// holds the whole pipeline to that.
 #[derive(Debug, Default)]
 pub struct MaskScratch {
-    sets: Vec<TagSet>,
+    points: Vec<Vec<Tag>>,
+    covers: Vec<Vec<Tag>>,
     prefixes: Vec<Prefix>,
 }
 
@@ -80,37 +200,29 @@ impl MaskScratch {
         Self::default()
     }
 
-    /// Number of sets currently parked in the pool (diagnostics).
-    pub fn pooled_sets(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// Checks out a cleared set, reusing a retired one when available.
-    fn take_set(&mut self) -> TagSet {
-        match self.sets.pop() {
-            Some(mut set) => {
-                set.clear();
-                set
-            }
-            None => TagSet::default(),
-        }
-    }
-
-    /// Parks a set for reuse, keeping its capacity.
-    pub fn reclaim_set(&mut self, mut set: TagSet) {
-        set.clear();
-        self.sets.push(set);
-    }
-
-    /// Retires a masked point, recycling its backing set.
+    /// Retires a masked point, recycling its backing run.
     pub fn reclaim_point(&mut self, point: MaskedPoint) {
-        self.reclaim_set(point.tags);
+        park(&mut self.points, point.run.tags);
     }
 
-    /// Retires a masked range, recycling its backing set.
+    /// Retires a masked range, recycling its backing run.
     pub fn reclaim_range(&mut self, range: MaskedRange) {
-        self.reclaim_set(range.tags);
+        park(&mut self.covers, range.run.tags);
     }
+}
+
+/// Checks out a cleared run with room for `capacity` tags, reusing the
+/// most recently parked one when the pool has any.
+fn checkout(pool: &mut Vec<Vec<Tag>>, capacity: usize) -> Vec<Tag> {
+    let mut run = pool.pop().unwrap_or_default();
+    run.reserve(capacity);
+    run
+}
+
+/// Parks a run for reuse, keeping its capacity.
+fn park(pool: &mut Vec<Vec<Tag>>, mut run: Vec<Tag>) {
+    run.clear();
+    pool.push(run);
 }
 
 /// A masked prefix family `H_g(O(G(x)))`: a hidden point.
@@ -131,7 +243,7 @@ impl MaskScratch {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaskedPoint {
-    tags: TagSet,
+    run: TagRun,
 }
 
 impl MaskedPoint {
@@ -145,9 +257,9 @@ impl MaskedPoint {
     }
 
     /// [`MaskedPoint::mask`] staging through `scratch`: the prefix family
-    /// is built in the pooled staging buffer and the tag set is checked
-    /// out of the pool, so a warm scratch masks without allocating. Bits
-    /// are identical to the unpooled path.
+    /// is built in the pooled staging buffer and the tag run is checked
+    /// out of the point pool, so a warm scratch masks without
+    /// allocating. Bits are identical to the unpooled path.
     ///
     /// # Errors
     ///
@@ -160,21 +272,19 @@ impl MaskedPoint {
     ) -> Result<Self, PrefixError> {
         let mut family = std::mem::take(&mut scratch.prefixes);
         let built = prefix_family_into(width, value, &mut family);
-        let mut tags = scratch.take_set();
-        if built.is_ok() {
+        let masked = built.map(|()| {
+            let mut tags = checkout(&mut scratch.points, family.len());
             mask_all_into(key, &family, &mut tags);
-        }
+            Self { run: TagRun::new(tags) }
+        });
         scratch.prefixes = family;
-        match built {
-            Ok(()) => Ok(Self { tags }),
-            Err(err) => {
-                scratch.reclaim_set(tags);
-                Err(err)
-            }
-        }
+        masked
     }
 
-    /// Reconstructs a masked point from raw transmitted tags.
+    /// Reconstructs a masked point from raw transmitted tags, in any
+    /// order; duplicates collapse. Tags that already arrive strictly
+    /// ascending, as a wire decoder hands them over, are taken without a
+    /// sort.
     ///
     /// # Errors
     ///
@@ -183,20 +293,16 @@ impl MaskedPoint {
     /// dropped message and must be surfaced to the transport layer
     /// instead of silently losing every comparison.
     pub fn from_tags<I: IntoIterator<Item = Tag>>(tags: I) -> Result<Self, PrefixError> {
-        let tags: TagSet = tags.into_iter().collect();
-        if tags.is_empty() {
-            return Err(PrefixError::EmptyTagSet);
-        }
-        Ok(Self { tags })
+        TagRun::from_tags(tags).map(|run| Self { run })
     }
 
     /// The membership test: does the hidden point lie in the hidden range?
     ///
     /// Sound and complete when both sides were masked under the same key
     /// over the same domain width (up to the negligible probability of a
-    /// 128-bit tag collision).
+    /// 128-bit tag collision). One merge of the two ascending runs.
     pub fn in_range(&self, range: &MaskedRange) -> bool {
-        self.tags.iter().any(|t| range.tags.contains(t))
+        runs_intersect(&self.run.tags, &range.run.tags)
     }
 
     /// Number of transmitted tags.
@@ -206,49 +312,51 @@ impl MaskedPoint {
     /// `0..=width`, *including* the all-wildcard root that matches every
     /// value (see [`prefix_family`](crate::family::prefix_family)).
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.run.tags.len()
     }
 
-    /// Whether the set holds no tags (never true for a genuine family).
+    /// Whether the group holds no tags (never true for a genuine family).
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.run.tags.is_empty()
     }
 
-    /// Iterates over the transmitted tags.
+    /// Iterates over the transmitted tags in ascending (wire) order.
     pub fn iter(&self) -> impl Iterator<Item = &Tag> {
-        self.tags.iter()
+        self.run.tags.iter()
+    }
+
+    /// The transmitted tags as one strictly ascending run — the wire
+    /// order, ready to be written out as it is.
+    pub fn as_slice(&self) -> &[Tag] {
+        &self.run.tags
     }
 
     /// Transmission size in bytes.
     pub fn wire_len(&self) -> usize {
-        self.tags.len() * TAG_LEN
+        self.run.tags.len() * TAG_LEN
     }
 
-    /// An order-independent 64-bit fingerprint of the transmitted tag
-    /// set.
+    /// An order-independent 64-bit fingerprint of the transmitted tags:
+    /// the XOR of [`raw_tag_mix`] over them, stored when the group was
+    /// built.
     ///
     /// Two masked points have equal fingerprints iff they carry the same
     /// tags (up to negligible collision probability) — which is exactly
     /// the observable an attacker exploits against the *basic* bid
-    /// scheme, where equal plaintexts produce identical masked sets. The
-    /// advanced scheme's per-channel keys and value randomization make
-    /// fingerprints unique and useless.
+    /// scheme, where equal plaintexts produce identical masked groups.
+    /// The advanced scheme's per-channel keys and value randomization
+    /// make fingerprints unique and useless.
     pub fn fingerprint(&self) -> u64 {
-        tag_set_fingerprint(&self.tags)
+        self.run.fingerprint
     }
-}
-
-/// XOR of per-tag mixes: an order-independent digest over a tag set.
-fn tag_set_fingerprint(tags: &TagSet) -> u64 {
-    tags.iter().map(|t| raw_tag_mix(t.as_bytes())).fold(0u64, |acc, h| acc ^ h)
 }
 
 /// The per-tag mix underlying [`MaskedPoint::fingerprint`], computed
 /// from raw wire bytes.
 ///
 /// XOR-folding this over a group of serialized tags reproduces the
-/// fingerprint of the materialized tag set without building a `HashSet`
-/// — zero-copy frame decoders use it to verify transport checksums
+/// fingerprint of the materialized group without building one —
+/// zero-copy frame decoders use it to verify transport checksums
 /// against borrowed `&[u8]` views before allocating anything.
 ///
 /// Both 8-byte halves of the tag feed the mix, so damage anywhere in a
@@ -267,7 +375,7 @@ pub fn raw_tag_mix(tag_bytes: &[u8]) -> u64 {
     split_mix(split_mix(half(0)) ^ half(8))
 }
 
-/// SplitMix64 avalanche, used for tag-set fingerprints.
+/// SplitMix64 avalanche, used for tag-group fingerprints.
 fn split_mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -278,7 +386,7 @@ fn split_mix(mut z: u64) -> u64 {
 /// A masked range cover `H_g(O(Q([a, b])))`: a hidden interval.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaskedRange {
-    tags: TagSet,
+    run: TagRun,
 }
 
 impl MaskedRange {
@@ -304,35 +412,30 @@ impl MaskedRange {
         hi: u32,
         scratch: &mut MaskScratch,
     ) -> Result<Self, PrefixError> {
-        Self::mask_sized_in(key, width, lo, hi, 0, scratch)
+        let tags = Self::mask_cover(key, width, lo, hi, 0, scratch)?;
+        Ok(Self { run: TagRun::new(tags) })
     }
 
-    /// [`MaskedRange::mask_in`] into a set with room for `capacity` tags
-    /// before the first one lands, so a cover that will be padded is
-    /// sized once instead of growing and rehashing on the way.
-    fn mask_sized_in(
+    /// The genuine cover tags of `[lo, hi]`, unsorted, in a run checked
+    /// out of the cover pool with room for `capacity` tags, so a cover
+    /// that will be padded is sized once.
+    fn mask_cover(
         key: &HmacKey,
         width: u8,
         lo: u32,
         hi: u32,
         capacity: usize,
         scratch: &mut MaskScratch,
-    ) -> Result<Self, PrefixError> {
+    ) -> Result<Vec<Tag>, PrefixError> {
         let mut cover = std::mem::take(&mut scratch.prefixes);
         let built = range_prefixes_into(width, lo, hi, &mut cover);
-        let mut tags = scratch.take_set();
-        if built.is_ok() {
-            tags.reserve(capacity);
+        let tags = built.map(|()| {
+            let mut tags = checkout(&mut scratch.covers, capacity.max(cover.len()));
             mask_all_into(key, &cover, &mut tags);
-        }
+            tags
+        });
         scratch.prefixes = cover;
-        match built {
-            Ok(()) => Ok(Self { tags }),
-            Err(err) => {
-                scratch.reclaim_set(tags);
-                Err(err)
-            }
-        }
+        tags
     }
 
     /// Masks the cover of `[lo, hi]` and pads it with random tags to the
@@ -360,8 +463,15 @@ impl MaskedRange {
     }
 
     /// [`MaskedRange::mask_padded`] staging through `scratch`,
-    /// allocation-free once the pool is warm; the padding draws consume
-    /// exactly the RNG stream of the unpooled path.
+    /// allocation-free once the pool is warm.
+    ///
+    /// The genuine cover and the whole shortfall of pad draws land in
+    /// the run before one sort and dedup; while the group is still short
+    /// (a pad tag collided), the new shortfall is drawn and the run
+    /// sorted again. Each draw adds at most one distinct tag, so no batch
+    /// can overshoot: the loop stops after exactly the draw at which a
+    /// tag-by-tag set insert would, and the RNG stream matches that
+    /// path's (see [`replay_padding_draws`](Self::replay_padding_draws)).
     ///
     /// # Errors
     ///
@@ -375,13 +485,19 @@ impl MaskedRange {
         scratch: &mut MaskScratch,
     ) -> Result<Self, PrefixError> {
         let target = max_cover_len(width);
-        let mut masked = Self::mask_sized_in(key, width, lo, hi, target, scratch)?;
-        while masked.tags.len() < target {
-            let mut bytes = [0u8; TAG_LEN];
-            rng.fill_bytes(&mut bytes);
-            masked.tags.insert(Tag::from_bytes(bytes));
+        let mut run =
+            TagRun { tags: Self::mask_cover(key, width, lo, hi, target, scratch)?, fingerprint: 0 };
+        loop {
+            for _ in run.tags.len()..target {
+                let mut bytes = [0u8; TAG_LEN];
+                rng.fill_bytes(&mut bytes);
+                run.tags.push(Tag::from_bytes(bytes));
+            }
+            run.canonicalize();
+            if run.tags.len() >= target {
+                return Ok(Self { run });
+            }
         }
-        Ok(masked)
     }
 
     /// Consumes exactly the RNG draws [`mask_padded_in`](Self::mask_padded_in)
@@ -391,8 +507,8 @@ impl MaskedRange {
     /// interval) can skip the re-mask entirely and call this to keep a
     /// shared RNG stream bit-aligned with a path that does re-mask. The
     /// draw count is `max_cover_len(width) − |cover(lo, hi)|`: the pad
-    /// loop adds one uniformly random 16-byte tag per iteration, and a
-    /// 128-bit collision with a genuine or earlier pad tag (the only
+    /// loop draws one uniformly random 16-byte tag per missing slot, and
+    /// a 128-bit collision with a genuine or earlier pad tag (the only
     /// event that would cost an extra draw) has probability ≈ 2⁻¹²⁸ —
     /// below any reachable state, and caught by the incremental-vs-rebuild
     /// fingerprint oracle if it ever occurred.
@@ -419,7 +535,8 @@ impl MaskedRange {
         Ok(())
     }
 
-    /// Reconstructs a masked range from raw transmitted tags.
+    /// Reconstructs a masked range from raw transmitted tags, with the
+    /// set semantics of [`MaskedPoint::from_tags`].
     ///
     /// # Errors
     ///
@@ -427,37 +544,39 @@ impl MaskedRange {
     /// the same reason as [`MaskedPoint::from_tags`]: an empty cover
     /// contains no point, so transport loss would read as "out of range".
     pub fn from_tags<I: IntoIterator<Item = Tag>>(tags: I) -> Result<Self, PrefixError> {
-        let tags: TagSet = tags.into_iter().collect();
-        if tags.is_empty() {
-            return Err(PrefixError::EmptyTagSet);
-        }
-        Ok(Self { tags })
+        TagRun::from_tags(tags).map(|run| Self { run })
     }
 
-    /// An order-independent 64-bit fingerprint of the transmitted tag
-    /// set, as [`MaskedPoint::fingerprint`].
+    /// An order-independent 64-bit fingerprint of the transmitted tags,
+    /// as [`MaskedPoint::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        tag_set_fingerprint(&self.tags)
+        self.run.fingerprint
     }
 
     /// Number of transmitted tags.
     pub fn len(&self) -> usize {
-        self.tags.len()
+        self.run.tags.len()
     }
 
-    /// Whether the set holds no tags (never true for a genuine cover).
+    /// Whether the group holds no tags (never true for a genuine cover).
     pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
+        self.run.tags.is_empty()
     }
 
-    /// Iterates over the transmitted tags.
+    /// Iterates over the transmitted tags in ascending (wire) order.
     pub fn iter(&self) -> impl Iterator<Item = &Tag> {
-        self.tags.iter()
+        self.run.tags.iter()
+    }
+
+    /// The transmitted tags as one strictly ascending run — the wire
+    /// order, ready to be written out as it is.
+    pub fn as_slice(&self) -> &[Tag] {
+        &self.run.tags
     }
 
     /// Transmission size in bytes.
     pub fn wire_len(&self) -> usize {
-        self.tags.len() * TAG_LEN
+        self.run.tags.len() * TAG_LEN
     }
 }
 
@@ -468,6 +587,7 @@ mod tests {
     use crate::range::range_prefixes;
     use lppa_rng::rngs::StdRng;
     use lppa_rng::SeedableRng;
+    use std::collections::HashSet;
 
     fn key(byte: u8) -> HmacKey {
         HmacKey::from_bytes([byte; 32])
@@ -527,29 +647,32 @@ mod tests {
 
     #[test]
     fn batched_masking_matches_scalar_tags() {
-        // mask_all routes through the multi-lane kernel; the tag set must
-        // be exactly what per-prefix scalar masking produces.
+        // mask_all routes through the multi-lane kernel; the run must be
+        // exactly what per-prefix scalar masking produces, in ascending
+        // byte order.
         let k = key(13);
+        let scalar_run = |prefixes: &[Prefix]| {
+            let mut tags: Vec<Tag> =
+                prefixes.iter().map(|p| Tag::compute(&k, &p.to_mask_input())).collect();
+            tags.sort_unstable();
+            tags
+        };
         for (width, value) in [(1u8, 1u32), (4, 9), (13, 1234), (16, 40000)] {
-            let family = prefix_family(width, value).unwrap();
-            let scalar: TagSet =
-                family.iter().map(|p| Tag::compute(&k, &p.to_mask_input())).collect();
+            let scalar = scalar_run(&prefix_family(width, value).unwrap());
             let point = MaskedPoint::mask(&k, width, value).unwrap();
-            assert_eq!(point.len(), scalar.len(), "w={width}");
-            assert!(point.iter().all(|t| scalar.contains(t)), "w={width}");
+            assert!(point.iter().eq(scalar.iter()), "w={width}");
         }
-        let cover = range_prefixes(13, 100, 7000).unwrap();
-        let scalar: TagSet = cover.iter().map(|p| Tag::compute(&k, &p.to_mask_input())).collect();
+        let scalar = scalar_run(&range_prefixes(13, 100, 7000).unwrap());
         let range = MaskedRange::mask(&k, 13, 100, 7000).unwrap();
-        assert_eq!(range.len(), scalar.len());
-        assert!(range.iter().all(|t| scalar.contains(t)));
+        assert!(range.iter().eq(scalar.iter()));
     }
 
     #[test]
     fn raw_tag_mix_folds_to_set_fingerprint() {
         // XOR-folding raw_tag_mix over serialized tag bytes must equal
-        // the materialized set's fingerprint — this is the equation the
-        // zero-copy wire decoder relies on to checksum borrowed views.
+        // the materialized group's stored fingerprint — this is the
+        // equation the zero-copy wire decoder relies on to checksum
+        // borrowed views.
         let k = key(9);
         let point = MaskedPoint::mask(&k, 11, 700).unwrap();
         let folded = point.iter().map(|t| raw_tag_mix(t.as_bytes())).fold(0u64, |a, h| a ^ h);

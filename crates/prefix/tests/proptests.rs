@@ -5,10 +5,14 @@
 //! seeded RNG; failures print the exact reproduction seed (see
 //! `lppa_rng::testing`).
 
+use std::collections::HashSet;
+
 use lppa_crypto::keys::HmacKey;
+use lppa_crypto::tag::Tag;
 use lppa_prefix::{max_cover_len, prefix_family, range_prefixes, MaskedPoint, MaskedRange, Prefix};
+use lppa_rng::seq::SliceRandom;
 use lppa_rng::testing::check;
-use lppa_rng::{Rng, StdRng};
+use lppa_rng::{Rng, RngCore, StdRng};
 
 /// Generator: a domain width and a value that fits in it.
 fn width_and_value(rng: &mut StdRng) -> (u8, u32) {
@@ -130,5 +134,95 @@ fn numericalization_injective() {
         let pa = Prefix::new(w, mask_a, sa).unwrap();
         let pb = Prefix::new(w, mask_b, sb).unwrap();
         assert_eq!(pa.numericalize() == pb.numericalize(), pa == pb);
+    });
+}
+
+/// Generator: a random tag. Half the time its first `1..=15` bytes are
+/// fixed, so runs interleave on their low bytes too.
+fn random_tag(rng: &mut StdRng) -> Tag {
+    let mut bytes = [0u8; 16];
+    rng.fill_bytes(&mut bytes);
+    if rng.gen_bool(0.5) {
+        let fixed = rng.gen_range(1usize..=15);
+        bytes[..fixed].fill(0xa5);
+    }
+    Tag::from_bytes(bytes)
+}
+
+/// Generator: a masked point family or a padded cover, as its tags.
+fn masked_group_tags(rng: &mut StdRng) -> (Vec<Tag>, usize, u64) {
+    let (w, x, lo, hi) = width_value_range(rng);
+    let key = HmacKey::from_bytes([rng.gen(); 32]);
+    if rng.gen_bool(0.5) {
+        let point = MaskedPoint::mask(&key, w, x).unwrap();
+        (point.iter().copied().collect(), point.len(), point.fingerprint())
+    } else {
+        let range = MaskedRange::mask_padded(&key, w, lo, hi, rng).unwrap();
+        (range.iter().copied().collect(), range.len(), range.fingerprint())
+    }
+}
+
+/// Masked groups are strictly ascending runs, and rebuilding one from
+/// its tags in any order, with duplicates added, gives the same group.
+#[test]
+fn from_tags_has_set_semantics() {
+    check("from_tags_has_set_semantics", |rng| {
+        let (tags, len, fingerprint) = masked_group_tags(rng);
+        assert!(tags.windows(2).all(|w| w[0] < w[1]), "masked groups are ascending runs");
+        let mut shuffled = tags.clone();
+        for _ in 0..rng.gen_range(0..=tags.len()) {
+            let dup = shuffled[rng.gen_range(0..shuffled.len())];
+            shuffled.push(dup);
+        }
+        shuffled.shuffle(rng);
+        let point = MaskedPoint::from_tags(shuffled.iter().copied()).unwrap();
+        let range = MaskedRange::from_tags(shuffled).unwrap();
+        assert!(point.iter().eq(tags.iter()));
+        assert!(range.iter().eq(tags.iter()));
+        assert_eq!(point, MaskedPoint::from_tags(tags.iter().copied()).unwrap());
+        assert_eq!(range, MaskedRange::from_tags(tags).unwrap());
+        assert_eq!((point.len(), point.fingerprint()), (len, fingerprint));
+        assert_eq!((range.len(), range.fingerprint()), (len, fingerprint));
+    });
+}
+
+/// `in_range` (a merge of two ascending runs) is exactly a non-empty
+/// set intersection, on random runs that overlap freely, on disjoint
+/// runs and on runs that share exactly one tag.
+#[test]
+fn in_range_matches_set_intersection() {
+    check("in_range_matches_set_intersection", |rng| {
+        let (a, b): (Vec<Tag>, Vec<Tag>) = match rng.gen_range(0..3) {
+            0 => {
+                let universe: Vec<Tag> =
+                    (0..rng.gen_range(1..=40)).map(|_| random_tag(rng)).collect();
+                let pick = |rng: &mut StdRng| -> Vec<Tag> {
+                    (0..rng.gen_range(1..=24))
+                        .map(|_| universe[rng.gen_range(0..universe.len())])
+                        .collect()
+                };
+                (pick(rng), pick(rng))
+            }
+            mode => {
+                let mut all: Vec<Tag> =
+                    (0..rng.gen_range(2..=60)).map(|_| random_tag(rng)).collect();
+                all.sort_unstable();
+                all.dedup();
+                all.shuffle(rng);
+                let split = rng.gen_range(1..all.len().max(2));
+                let (mut a, mut b) = (all[..split].to_vec(), all[split..].to_vec());
+                if mode == 2 || b.is_empty() {
+                    let shared = random_tag(rng);
+                    a.push(shared);
+                    b.push(shared);
+                }
+                (a, b)
+            }
+        };
+        let set_a: HashSet<Tag> = a.iter().copied().collect();
+        let expected = b.iter().any(|t| set_a.contains(t));
+        let point = MaskedPoint::from_tags(a).unwrap();
+        let range = MaskedRange::from_tags(b).unwrap();
+        assert_eq!(point.in_range(&range), expected);
     });
 }

@@ -4,11 +4,12 @@
 //! HMAC-SHA-256 tags per submission). The [`AreaState`] *buffers*
 //! arriving bidders and builds their [`SuSubmission`]s on demand
 //! ([`AreaState::flush`]), staged through one `MaskScratch` per area.
-//! The service's shard thread masks each bidder as soon as it routes
-//! it (`flush(1)`), so masking is spread over the arrival stream
-//! instead of paid when the area settles; each bidder's tags are
-//! batched inside `SuSubmission::build_in`, one value under one key at
-//! a time.
+//! The service's shard thread routes every queued bidder first and,
+//! whenever its inbox runs dry, masks each area's routed bidders
+//! together ([`AreaState::flush_all`]), so masking follows the arrival
+//! stream while one area's keys and scratch serve a run of its bidders;
+//! each bidder's tags are batched inside `SuSubmission::build_in`, one
+//! value under one key at a time.
 //!
 //! Determinism: each arriving bidder is assigned a child seed drawn
 //! from the area's admission RNG **at routing time, in arrival
@@ -66,7 +67,7 @@ pub struct AreaState {
     admission_rng: StdRng,
     buffered: Vec<Buffered>,
     built: Vec<SuSubmission>,
-    /// Prefix staging and tag-set pool shared by every build of this
+    /// Prefix staging and tag-run pools shared by every build of this
     /// area.
     scratch: MaskScratch,
     routed: usize,

@@ -163,7 +163,7 @@ impl Member {
         self.build_in(ttp, policy, &mut MaskScratch::new())
     }
 
-    /// [`build`](Member::build) staging tag sets through a pooled
+    /// [`build`](Member::build) staging tag runs through a pooled
     /// [`MaskScratch`]: bit-identical bits, allocation-free once warm.
     fn build_in(
         &self,
@@ -332,7 +332,7 @@ impl ChurnArea {
             let member = self.members.swap_remove(i);
             self.alloc.release(member.slot);
             if let Some(engine) = &mut self.engine {
-                // A leaver's tag sets re-arm the pool for the round's
+                // A leaver's tag runs re-arm the pool for the round's
                 // joiners.
                 engine.leave(member.slot).reclaim(&mut self.scratch.mask);
                 self.scratch.charge_clear_slot(member.slot);

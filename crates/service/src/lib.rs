@@ -2,9 +2,10 @@
 //!
 //! Runs **many** LPPA regional auctions concurrently as a long-lived
 //! service: bidders stream in over a channel to their area's shard
-//! thread, which masks each one as it arrives and settles each area's
-//! full Announce → Collect → Allocate → Charge → Settle state machine
-//! (`lppa-session`) as soon as its last expected bidder is in. Areas
+//! thread, which routes them as they arrive, masks them area by area
+//! whenever its inbox runs dry, and settles each area's full Announce →
+//! Collect → Allocate → Charge → Settle state machine (`lppa-session`)
+//! as soon as its last expected bidder is in. Areas
 //! are the unit of concurrency: one area's round runs on the one thread
 //! that owns its shard, and `LPPA_THREADS` sets the thread count, which
 //! is also the shard count.

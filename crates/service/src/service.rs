@@ -13,10 +13,11 @@
 //! 1. [`AuctionService::submit`] checks the area on the calling thread
 //!    (unknown and full areas are refused there) and sends the bidder
 //!    to its shard's inbox, an `mpsc` channel.
-//! 2. The shard's thread routes and masks each bidder as it arrives.
-//!    When an area's last expected bidder is routed, the thread settles
-//!    the whole round (Announce → Collect → Allocate → Charge →
-//!    Settle) before reading its next bidder, while other shards keep
+//! 2. The shard's thread routes every bidder queued in its inbox, then
+//!    masks the routed bidders area by area whenever the inbox runs
+//!    dry. Once an area's last expected bidder is routed and masked,
+//!    the thread settles the whole round (Announce → Collect → Allocate
+//!    → Charge → Settle) before it goes on, while other shards keep
 //!    going.
 //! 3. [`AuctionService::drain`] closes the inboxes: each thread settles
 //!    whatever is still open and hands back its outcomes through
@@ -32,7 +33,7 @@
 //! differential oracle and the CI `load-smoke` job both hold the service
 //! to that.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -200,26 +201,35 @@ fn assemble(shards: impl IntoIterator<Item = Settled>) -> ServiceReport {
     report
 }
 
-/// One shard's thread: routes and masks each bidder from `inbox` as it
-/// arrives, settles an area as soon as its last expected bidder is
-/// routed, and once the inbox closes settles whatever is still open.
+/// One shard's thread: routes every bidder queued in `inbox`, then,
+/// whenever the inbox runs dry, masks each area's routed bidders area by
+/// area (one area's key and scratch at a time) and settles every area
+/// whose last expected bidder is in. Once the inbox closes it settles
+/// whatever is still open.
 fn run_shard(
     mut areas: BTreeMap<u32, AreaState>,
     inbox: Receiver<BidderInput>,
     session: SessionConfig,
 ) -> Settled {
     let mut settled = Settled::default();
-    for bidder in inbox {
-        // `submit` sends only bidders for open areas with room left, so
-        // a miss is an area that already failed to mask a bidder.
-        let Some(state) = areas.get_mut(&bidder.area) else { continue };
-        let ready = state.route(bidder.location, bidder.bids);
-        match state.flush(1) {
-            Ok(()) if !ready => {}
-            Ok(()) => settled.settle(areas.remove(&bidder.area).expect("area is open"), &session),
-            Err(err) => {
-                let state = areas.remove(&bidder.area).expect("area is open");
-                settled.record(&state, Err(err));
+    let mut unmasked = BTreeSet::new();
+    while let Ok(first) = inbox.recv() {
+        for bidder in std::iter::once(first).chain(inbox.try_iter()) {
+            // `submit` sends only bidders for open areas with room left,
+            // so a miss is an area that already failed to mask a bidder.
+            let Some(state) = areas.get_mut(&bidder.area) else { continue };
+            state.route(bidder.location, bidder.bids);
+            unmasked.insert(bidder.area);
+        }
+        for area in std::mem::take(&mut unmasked) {
+            let state = areas.get_mut(&area).expect("an area with routed bidders is open");
+            match state.flush_all() {
+                Ok(()) if !state.is_ready() => {}
+                Ok(()) => settled.settle(areas.remove(&area).expect("area is open"), &session),
+                Err(err) => {
+                    let state = areas.remove(&area).expect("area is open");
+                    settled.record(&state, Err(err));
+                }
             }
         }
     }

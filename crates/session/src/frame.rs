@@ -171,16 +171,37 @@ pub struct FrameView<'a> {
 /// If `payload` is empty or exceeds [`MAX_FRAME_PAYLOAD`] — both are
 /// sender-side programming errors, never a function of peer input.
 pub fn encode_frame(kind: FrameKind, seq: u64, payload: &[u8]) -> Vec<u8> {
-    assert!(!payload.is_empty(), "frames carry at least one payload byte");
-    assert!(payload.len() <= MAX_FRAME_PAYLOAD, "payload exceeds the frame cap");
     let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    write_frame(kind, seq, &mut out, |out| out.extend_from_slice(payload));
+    out
+}
+
+/// Appends one frame to `out`: the header, then whatever `payload`
+/// writes after it, with the header's length field set to what it
+/// wrote. An encoder can thus build its payload in the frame buffer
+/// itself instead of copying it in.
+///
+/// # Panics
+///
+/// As [`encode_frame`], if `payload` writes nothing or more than
+/// [`MAX_FRAME_PAYLOAD`] bytes.
+pub(crate) fn write_frame(
+    kind: FrameKind,
+    seq: u64,
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
     out.extend_from_slice(&FRAME_MAGIC);
     out.push(WIRE_VERSION);
     out.push(kind as u8);
     out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
+    assert!(len > 0, "frames carry at least one payload byte");
+    assert!(len <= MAX_FRAME_PAYLOAD, "payload exceeds the frame cap");
+    out[start + 12..start + FRAME_HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Parses the header at the start of `buf` and returns the total frame

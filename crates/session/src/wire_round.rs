@@ -17,12 +17,12 @@ use std::borrow::Borrow;
 
 use lppa::protocol::{validate_submission_with, SuSubmission};
 use lppa::ttp::Ttp;
-use lppa::wire::{decode_submission, encode_submission};
+use lppa::wire::{decode_submission, encode_submission, submission_payload_len};
 use lppa::{LppaConfig, LppaError};
 use lppa_rng::rngs::StdRng;
 
 use crate::chaos::corrupt_frame;
-use crate::frame::{decode_frame_exact, encode_frame, FrameKind};
+use crate::frame::{decode_frame_exact, write_frame, FrameKind, FRAME_HEADER_LEN};
 use crate::journal::{Journal, JournalEntry, Phase};
 use crate::quarantine::{QuarantineReason, QuarantineReport};
 use crate::session::{
@@ -275,12 +275,14 @@ impl CollectEngine<SuSubmission> {
 }
 
 /// Encodes one submission as a complete frame: the [`lppa::wire`]
-/// payload wrapped in a [`FrameKind::Submission`] header, seq stamped
-/// with the attempt number.
+/// payload behind a [`FrameKind::Submission`] header, seq stamped with
+/// the attempt number, written into one buffer of the exact size.
 pub fn encode_submission_frame(bidder: usize, attempt: u32, sub: &SuSubmission) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(sub.wire_len() + 64);
-    encode_submission(bidder, attempt, sub.checksum(), sub, &mut payload);
-    encode_frame(FrameKind::Submission, u64::from(attempt), &payload)
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + submission_payload_len(sub));
+    write_frame(FrameKind::Submission, u64::from(attempt), &mut frame, |out| {
+        encode_submission(bidder, attempt, sub.checksum(), sub, out);
+    });
+    frame
 }
 
 /// Runs one complete round over encoded frames through the simulated
@@ -356,6 +358,7 @@ pub(crate) fn simulate_round<'s, M: Clone, S: Borrow<SuSubmission>>(
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use crate::frame::encode_frame;
     use crate::session::AuctionSession;
     use lppa::protocol::build_submissions;
     use lppa::zero_replace::ZeroReplacePolicy;
